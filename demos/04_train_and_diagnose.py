@@ -6,7 +6,7 @@ below the package defaults).
 Run:  python3 demos/04_train_and_diagnose.py
 """
 
-import numpy as np
+from dataclasses import replace
 
 from drmc.analysis import interference, parameter_groups, routing_histogram
 from drmc.data import build_dataset, default_known_centers
@@ -18,7 +18,7 @@ def main():
     dataset = build_dataset(default_known_centers(), n_train_per_center=2,
                             n_test_per_center=1, shape=(16, 16, 16), seed=0)
     cfg = TrainConfig(epochs=4, patch_size=8, patches_per_center=8,
-                      batch_per_center=4, gate="softmax")
+                      batch_per_center=4)
     net = DRMCNetwork(
         ModelConfig(channels=8, n_experts=2, n_blocks=2, gate="softmax"),
         seed=cfg.seed,
@@ -39,7 +39,7 @@ def main():
               f"lesion bias mean {row['b_mean']:.3f}, max {row['b_max']:.3f}")
 
     print("\ngradient interference between centers (block 0 FFN bank):")
-    bcfg = TrainConfig(**{**vars(cfg), "batch_per_center": 2})
+    bcfg = replace(cfg, batch_per_center=2)
     batches = sample_center_batches(dataset, bcfg, n_batches=5, seed=7)
     groups = parameter_groups(net)
     mat = interference(net, batches, groups["block0_ffn"], group_label="block0_ffn")

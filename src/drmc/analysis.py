@@ -104,7 +104,9 @@ def _group_param_list(net: DRMCNetwork, group: Sequence[str]):
     return out
 
 
-def _batch_loss(net: DRMCNetwork, batch, charb_eps: float) -> Tensor:
+def batch_loss(net: DRMCNetwork, batch, charb_eps: float) -> Tensor:
+    """Mean Charbonnier loss of the network over (low, full) patch pairs; the
+    training loss and the default loss of the interference diagnostics."""
     acc = None
     for low, full in batch:
         est, _ = network_forward(net, Tensor(np.asarray(low)))
@@ -115,7 +117,7 @@ def _batch_loss(net: DRMCNetwork, batch, charb_eps: float) -> Tensor:
 
 def _batch_grad(net, batch, group_params, charb_eps, loss_fn=None) -> np.ndarray:
     net.zero_grad()
-    loss = (loss_fn or _batch_loss)(net, batch, charb_eps)
+    loss = (loss_fn or batch_loss)(net, batch, charb_eps)
     loss.backward()
     pieces = [
         (p.grad if p.grad is not None else np.zeros_like(p.data)).astype(np.float64).ravel()
@@ -164,7 +166,7 @@ def delta_loss(
     if group is None:
         group = [n for n, _ in net.named_parameters()]
     gp = _group_param_list(net, group)
-    eval_loss = loss_fn or _batch_loss
+    eval_loss = loss_fn or batch_loss
     _, units_j = _normalized_grads(net, batches_j, gp, charb_eps, loss_fn)
 
     if form == "first_order":
@@ -277,13 +279,13 @@ class RoutingHistogram:
         return {e for (_, _, _, e) in self.counts}
 
 
-def routing_histogram(net: DRMCNetwork, records, gate: Optional[str] = None) -> RoutingHistogram:
+def routing_histogram(net: DRMCNetwork, records) -> RoutingHistogram:
     """Top-1 expert counts per (layer, bank) keyed by center id; ties break
     toward the lowest expert index."""
     hist = RoutingHistogram()
     with T.no_grad():
         for rec in records:
-            _, logs = network_forward(net, Tensor(rec.low.data), gate)
+            _, logs = network_forward(net, Tensor(rec.low.data))
             for li, w in enumerate(logs):
                 layer, bank = li // 2, ("att", "ffn")[li % 2]
                 hist.add(layer, bank, rec.center_id, int(np.argmax(w.data)))

@@ -11,14 +11,14 @@ from __future__ import annotations
 import argparse
 import csv
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
 import yaml
 
 from . import analysis, training, volio
-from .config import RunConfig, emit_config, parse_config, write_resolved_config
+from .config import RunConfig, parse_config, write_resolved_config
 from .data import (
     CenterSpec,
     SampleRecord,
@@ -27,8 +27,7 @@ from .data import (
     default_unknown_centers,
 )
 from .errors import DrmcError, UsageError
-from .model import DRMCNetwork, ModelConfig, load_checkpoint, save_checkpoint
-from .training import TrainConfig
+from .model import DRMCNetwork, load_checkpoint, save_checkpoint
 
 
 def _fmt(value) -> str:
@@ -61,35 +60,6 @@ def _centers_from(cfg: RunConfig) -> tuple[list[CenterSpec], list[CenterSpec]]:
     return known, unknown
 
 
-def _model_config(cfg: RunConfig) -> ModelConfig:
-    return ModelConfig(
-        channels=int(cfg.model.channels),
-        n_experts=int(cfg.model.n_experts),
-        n_blocks=int(cfg.model.n_blocks),
-        router_hidden=(
-            None if cfg.model.router_hidden is None else int(cfg.model.router_hidden)
-        ),
-        gate=cfg.model.gate,
-    )
-
-
-def _train_config(cfg: RunConfig) -> TrainConfig:
-    t = cfg.train
-    return TrainConfig(
-        lr=float(t.lr),
-        epochs=int(t.epochs),
-        patch_size=int(t.patch_size),
-        patches_per_center=int(t.patches_per_center),
-        batch_per_center=int(t.batch_per_center),
-        beta1=float(t.beta1),
-        beta2=float(t.beta2),
-        adam_eps=float(t.adam_eps),
-        charbonnier_eps=float(t.charbonnier_eps),
-        gate=cfg.model.gate,
-        seed=int(t.seed),
-    )
-
-
 def _data_dir(cfg: RunConfig) -> Path:
     return Path(cfg.io.out_dir) / "data"
 
@@ -100,14 +70,14 @@ def _data_dir(cfg: RunConfig) -> Path:
 
 def cmd_gen_data(cfg: RunConfig) -> int:
     known, unknown = _centers_from(cfg)
-    shape = tuple(int(s) for s in cfg.data.shape)
+    shape = tuple(cfg.data.shape)
     data_dir = _data_dir(cfg)
     data_dir.mkdir(parents=True, exist_ok=True)
     manifest = {
         "shape": list(shape),
-        "n_train": int(cfg.data.n_train),
-        "n_test": int(cfg.data.n_test),
-        "seed": int(cfg.data.seed),
+        "n_train": cfg.data.n_train,
+        "n_test": cfg.data.n_test,
+        "seed": cfg.data.seed,
         "known_ids": [c.id for c in known],
         "unknown_ids": [c.id for c in unknown],
         "centers": [asdict(c) for c in known + unknown],
@@ -115,10 +85,10 @@ def cmd_gen_data(cfg: RunConfig) -> int:
     for center in known + unknown:
         records = build_dataset(
             [center],
-            n_train_per_center=int(cfg.data.n_train),
-            n_test_per_center=int(cfg.data.n_test),
+            n_train_per_center=cfg.data.n_train,
+            n_test_per_center=cfg.data.n_test,
             shape=shape,
-            seed=int(cfg.data.seed),
+            seed=cfg.data.seed,
         )
         cdir = data_dir / f"center_{center.id}"
         cdir.mkdir(parents=True, exist_ok=True)
@@ -173,11 +143,11 @@ def load_records(data_dir) -> tuple[list[SampleRecord], list[int], list[int]]:
 def cmd_train(cfg: RunConfig) -> int:
     records, known_ids, _ = load_records(_data_dir(cfg))
     known_records = [r for r in records if r.center_id in known_ids]
-    tcfg = _train_config(cfg)
-    net = DRMCNetwork(_model_config(cfg), seed=tcfg.seed)
+    tcfg = cfg.train
+    net = DRMCNetwork(cfg.model, seed=tcfg.seed)
     out = Path(cfg.io.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    every = int(cfg.train.checkpoint_every)
+    every = tcfg.checkpoint_every
 
     def callback(epoch, network):
         if every > 0 and (epoch + 1) % every == 0:
@@ -202,9 +172,8 @@ def cmd_eval(cfg: RunConfig, checkpoint=None) -> int:
     out = Path(cfg.io.out_dir)
     ckpt = Path(checkpoint) if checkpoint else out / "checkpoint.drmc"
     net = load_checkpoint(ckpt)
-    tcfg = _train_config(cfg)
     test_records = [r for r in records if r.split == "test"]
-    rows = training.evaluate(net, test_records, tcfg)
+    rows = training.evaluate(net, test_records, cfg.train)
     _write_csv(
         out / "metrics.csv",
         ["record", "center_id", "split", "psnr", "b_mean", "b_max"],
@@ -223,12 +192,10 @@ def cmd_interference(cfg: RunConfig, checkpoint=None) -> int:
     out = Path(cfg.io.out_dir)
     ckpt = Path(checkpoint) if checkpoint else out / "checkpoint.drmc"
     net = load_checkpoint(ckpt)
-    tcfg = _train_config(cfg)
-    bcfg = TrainConfig(**{**vars(tcfg), "batch_per_center": int(cfg.analysis.batch_size)})
+    bcfg = replace(cfg.train, batch_per_center=cfg.analysis.batch_size)
     known_records = [r for r in records if r.center_id in known_ids]
     batches = training.sample_center_batches(
-        known_records, bcfg, n_batches=int(cfg.analysis.n_batches),
-        seed=int(cfg.data.seed) + 7,
+        known_records, bcfg, n_batches=cfg.analysis.n_batches, seed=cfg.data.seed + 7
     )
     if cfg.analysis.groups == "all":
         groups = {"all": [n for n, _ in net.named_parameters()]}
@@ -237,8 +204,8 @@ def cmd_interference(cfg: RunConfig, checkpoint=None) -> int:
     for label, names in groups.items():
         mat = analysis.interference(
             net, batches, names, group_label=label,
-            lam=float(cfg.analysis.lam),
-            charb_eps=float(cfg.train.charbonnier_eps),
+            lam=cfg.analysis.lam,
+            charb_eps=cfg.train.charbonnier_eps,
         )
         path = out / f"interference_{label}.csv"
         _write_csv(
@@ -281,13 +248,9 @@ def cmd_ablate(cfg: RunConfig) -> int:
     out.mkdir(parents=True, exist_ok=True)
     rows = []
     for variant in ABLATION_VARIANTS:
-        mcfg = _model_config(cfg)
-        mcfg.gate = variant
-        tcfg = _train_config(cfg)
-        tcfg.gate = variant
-        net = DRMCNetwork(mcfg, seed=tcfg.seed)
-        training.train(net, known_records, tcfg)
-        metrics = training.evaluate(net, test_records, tcfg)
+        net = DRMCNetwork(replace(cfg.model, gate=variant), seed=cfg.train.seed)
+        training.train(net, known_records, cfg.train)
+        metrics = training.evaluate(net, test_records, cfg.train)
         per_center = {
             cid: float(np.mean([m["psnr"] for m in metrics if m["center_id"] == cid]))
             for cid in test_ids

@@ -7,45 +7,23 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
+from typing import Union, get_args, get_origin, get_type_hints
 
 import yaml
 
-from .errors import ConfigError
-from .model import GATE_KINDS
+from .errors import ConfigError, DrmcError
+from .model import ModelConfig
+from .training import TrainConfig
 
 
 @dataclass
 class DataSection:
     centers: object = "default"  # "default" or list of CenterSpec dicts
     unknown_centers: object = "default"
-    shape: list = field(default_factory=lambda: [24, 24, 24])
+    shape: list[int] = field(default_factory=lambda: [24, 24, 24])
     n_train: int = 8
     n_test: int = 4
     seed: int = 0
-
-
-@dataclass
-class ModelSection:
-    channels: int = 16
-    n_experts: int = 3
-    n_blocks: int = 3
-    router_hidden: object = None
-    gate: str = "relu"
-
-
-@dataclass
-class TrainSection:
-    lr: float = 1e-4
-    epochs: int = 30
-    patch_size: int = 12
-    patches_per_center: int = 32
-    batch_per_center: int = 8
-    beta1: float = 0.9
-    beta2: float = 0.999
-    adam_eps: float = 1e-8
-    charbonnier_eps: float = 1e-3
-    seed: int = 0
-    checkpoint_every: int = 0  # 0 = only at the end
 
 
 @dataclass
@@ -64,47 +42,57 @@ class IOSection:
 @dataclass
 class RunConfig:
     data: DataSection = field(default_factory=DataSection)
-    model: ModelSection = field(default_factory=ModelSection)
-    train: TrainSection = field(default_factory=TrainSection)
+    model: ModelConfig = field(default_factory=ModelConfig)
+    train: TrainConfig = field(default_factory=TrainConfig)
     analysis: AnalysisSection = field(default_factory=AnalysisSection)
     io: IOSection = field(default_factory=IOSection)
 
 
-_SECTIONS = {f.name: f.type for f in fields(RunConfig)}
+_SECTIONS = {f.name: f.default_factory for f in fields(RunConfig)}
+
+
+def _check_type(value, hint, where: str):
+    """``value`` as the annotation ``hint`` asks for: an int field takes an
+    int (not a bool), a float field an int or a float (stored as float),
+    ``Optional[X]`` also null, ``list[X]`` a list of X, ``object`` anything."""
+    if hint is object:
+        return value
+    if get_origin(hint) is Union:
+        if value is None:
+            return None
+        (hint,) = [a for a in get_args(hint) if a is not type(None)]
+    if get_origin(hint) is list:
+        if not isinstance(value, list):
+            raise ConfigError(f"type mismatch at {where}: expected a list, got {value!r}")
+        (item,) = get_args(hint)
+        return [_check_type(v, item, f"{where}[{i}]") for i, v in enumerate(value)]
+    if hint is float and isinstance(value, int) and not isinstance(value, bool):
+        return float(value)
+    if isinstance(value, bool) or not isinstance(value, hint):
+        raise ConfigError(
+            f"type mismatch at {where}: expected {hint.__name__}, got {value!r}"
+        )
+    return value
 
 
 def _fill_section(cls, raw: dict, path: str):
-    allowed = {f.name: f for f in fields(cls)}
+    hints = get_type_hints(cls)
     kwargs = {}
     for key, value in raw.items():
-        if key not in allowed:
-            raise ConfigError(
-                f"unknown key {path}.{key}; allowed: {sorted(allowed)}"
-            )
-        default = getattr(cls(), key)
-        if default is not None and not isinstance(default, str) and isinstance(value, str):
-            raise ConfigError(f"type mismatch at {path}.{key}: got string {value!r}")
-        if isinstance(default, bool) != isinstance(value, bool) and isinstance(
-            default, bool
-        ):
-            raise ConfigError(f"type mismatch at {path}.{key}: expected boolean")
-        kwargs[key] = value
-    return cls(**kwargs)
+        if key not in hints:
+            raise ConfigError(f"unknown key {path}.{key}; allowed: {sorted(hints)}")
+        kwargs[key] = _check_type(value, hints[key], f"{path}.{key}")
+    try:
+        return cls(**kwargs)
+    except DrmcError as e:
+        # constructor checks name the offending field first
+        raise ConfigError(f"{path}.{e}") from None
 
 
 def _validate(cfg: RunConfig):
-    if cfg.model.gate not in GATE_KINDS:
-        raise ConfigError(
-            f"model.gate must be one of {list(GATE_KINDS)}, got {cfg.model.gate!r}"
-        )
-    for key in ("channels", "n_experts", "n_blocks"):
-        if int(getattr(cfg.model, key)) < 1:
-            raise ConfigError(f"model.{key} must be >= 1")
-    if cfg.model.gate == "top2" and cfg.model.n_experts < 2:
-        raise ConfigError("model.gate=top2 requires model.n_experts >= 2")
-    if len(cfg.data.shape) != 3 or any(int(s) < 16 for s in cfg.data.shape):
+    if len(cfg.data.shape) != 3 or any(s < 16 for s in cfg.data.shape):
         raise ConfigError(f"data.shape must be 3 dims each >= 16, got {cfg.data.shape}")
-    if cfg.train.patch_size > min(int(s) for s in cfg.data.shape):
+    if cfg.train.patch_size > min(cfg.data.shape):
         raise ConfigError("train.patch_size exceeds data.shape")
     if cfg.analysis.groups not in ("per_block", "all"):
         raise ConfigError(
@@ -131,8 +119,7 @@ def parse_config_text(text: str, source: str = "<string>") -> RunConfig:
             continue
         if not isinstance(value, dict):
             raise ConfigError(f"section {key!r} must be a mapping")
-        factory = {f.name: f.default_factory for f in fields(RunConfig)}[key]
-        kwargs[key] = _fill_section(type(factory()), value, key)
+        kwargs[key] = _fill_section(_SECTIONS[key], value, key)
     cfg = RunConfig(**kwargs)
     _validate(cfg)
     return cfg

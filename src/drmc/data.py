@@ -9,8 +9,7 @@ family. All randomness flows from explicit seeds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import ndimage

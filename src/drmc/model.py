@@ -12,7 +12,7 @@ network an exact identity map before training.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator, Optional
 
 import numpy as np
@@ -171,15 +171,6 @@ class DynamicRoutingModule(Module):
         self.w_out._init(rng)
 
 
-@dataclass
-class RouterChainState:
-    h: Tensor
-
-    @staticmethod
-    def initial(hidden: int) -> "RouterChainState":
-        return RouterChainState(Tensor(np.zeros(hidden, np.float32)))
-
-
 def _apply_gate(logits: Tensor, gate: str) -> Tensor:
     m = logits.shape[0]
     if gate in ("relu", "no_h"):
@@ -200,7 +191,7 @@ def _apply_gate(logits: Tensor, gate: str) -> Tensor:
 
 
 def route(
-    drm: DynamicRoutingModule, x: Tensor, h_prev: Tensor, gate: str = "relu"
+    drm: DynamicRoutingModule, x: Tensor, h_prev: Tensor, gate: str
 ) -> tuple[Tensor, Tensor]:
     """One routing decision: returns (expert weights, next hidden state)."""
     pooled = T.gap(x)
@@ -257,18 +248,16 @@ class DynamicRoutingBlock(Module):
 
 
 def drb_forward(
-    block: DynamicRoutingBlock,
-    x: Tensor,
-    chain: RouterChainState,
-    gate: str = "relu",
-) -> tuple[Tensor, RouterChainState, list[Tensor]]:
+    block: DynamicRoutingBlock, x: Tensor, h: Tensor, gate: str
+) -> tuple[Tensor, Tensor, list[Tensor]]:
+    """One block; ``h`` is the router chain's hidden state, returned updated."""
     xn = T.layernorm(x, block.norm1_gain, block.norm1_offset)
-    w_att, h1 = route(block.att_router, xn, chain.h, gate)
+    w_att, h1 = route(block.att_router, xn, h, gate)
     u = T.add(x, fuse(block.att_bank, xn, w_att))
     un = T.layernorm(u, block.norm2_gain, block.norm2_offset)
     w_ffn, h2 = route(block.ffn_router, un, h1, gate)
     y = T.add(u, fuse(block.ffn_bank, un, w_ffn))
-    return y, RouterChainState(h2), [w_att, w_ffn]
+    return y, h2, [w_att, w_ffn]
 
 
 @dataclass
@@ -286,8 +275,11 @@ class ModelConfig:
             raise ConfigurationError(
                 f"gate must be one of {GATE_KINDS}, got {self.gate!r}"
             )
-        if min(self.channels, self.n_experts, self.n_blocks, self.router_hidden) < 1:
-            raise ConfigurationError(f"invalid model config {self}")
+        for key in ("channels", "n_experts", "n_blocks", "router_hidden"):
+            if getattr(self, key) < 1:
+                raise ConfigurationError(f"{key} must be >= 1, got {getattr(self, key)}")
+        if self.gate == "top2" and self.n_experts < 2:
+            raise ConfigurationError("gate=top2 requires n_experts >= 2")
 
 
 class DRMCNetwork(Module):
@@ -304,8 +296,8 @@ class DRMCNetwork(Module):
         self.tail_bias = Parameter(np.zeros(1, np.float32))
         init_parameters(self, seed)
 
-    def __call__(self, low: Tensor, gate: Optional[str] = None):
-        return network_forward(self, low, gate)
+    def __call__(self, low: Tensor):
+        return network_forward(self, low)
 
 
 def init_parameters(net: DRMCNetwork, seed: int):
@@ -320,16 +312,13 @@ def init_parameters(net: DRMCNetwork, seed: int):
     net.tail_bias.data = np.zeros_like(net.tail_bias.data)
 
 
-def network_forward(
-    net: DRMCNetwork, low: Tensor, gate: Optional[str] = None
-) -> tuple[Tensor, list[Tensor]]:
+def network_forward(net: DRMCNetwork, low: Tensor) -> tuple[Tensor, list[Tensor]]:
     """Full forward pass: returns (estimate, routing weight log of length 2N)."""
-    gate = net.config.gate if gate is None else gate
     f = T.conv3d(low, net.head_weight, net.head_bias, padding=1)
-    chain = RouterChainState.initial(net.config.router_hidden)
+    h = Tensor(np.zeros(net.config.router_hidden, np.float32))
     route_logs: list[Tensor] = []
     for block in net.blocks:
-        f, chain, logs = drb_forward(block, f, chain, gate)
+        f, h, logs = drb_forward(block, f, h, net.config.gate)
         route_logs.extend(logs)
     est = T.add(low, T.conv3d(f, net.tail_weight, net.tail_bias, padding=1))
     return est, route_logs

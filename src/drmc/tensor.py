@@ -290,7 +290,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _node(np.matmul(a.data, b.data), (a, b), rule)
 
 
-def _conv_slices(padded_len: int, k: int, off: int, stride: int, out_len: int):
+def _conv_slices(off: int, stride: int, out_len: int):
     return slice(off, off + (out_len - 1) * stride + 1, stride)
 
 
@@ -339,11 +339,11 @@ def conv3d(
 
     out_data = np.zeros((c_out, do, ho, wo), dtype=np.result_type(x.data, weight.data))
     for dz in range(kd):
-        sz = _conv_slices(dp, kd, dz, stride, do)
+        sz = _conv_slices(dz, stride, do)
         for dy in range(kh):
-            sy = _conv_slices(hp, kh, dy, stride, ho)
+            sy = _conv_slices(dy, stride, ho)
             for dx in range(kw):
-                sx = _conv_slices(wp, kw, dx, stride, wo)
+                sx = _conv_slices(dx, stride, wo)
                 patch = xp[:, sz, sy, sx]
                 w_off = weight.data[:, :, dz, dy, dx]
                 if depthwise:
@@ -357,11 +357,11 @@ def conv3d(
         gxp = np.zeros_like(xp)
         gw = np.zeros_like(weight.data)
         for dz in range(kd):
-            sz = _conv_slices(dp, kd, dz, stride, do)
+            sz = _conv_slices(dz, stride, do)
             for dy in range(kh):
-                sy = _conv_slices(hp, kh, dy, stride, ho)
+                sy = _conv_slices(dy, stride, ho)
                 for dx in range(kw):
-                    sx = _conv_slices(wp, kw, dx, stride, wo)
+                    sx = _conv_slices(dx, stride, wo)
                     patch = xp[:, sz, sy, sx]
                     w_off = weight.data[:, :, dz, dy, dx]
                     if depthwise:

@@ -10,7 +10,7 @@ kept around so interference diagnostics can inspect them before averaging.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -33,19 +33,20 @@ class TrainConfig:
     beta2: float = 0.999
     adam_eps: float = 1e-8
     charbonnier_eps: float = 1e-3
-    gate: str = "relu"
     seed: int = 0
+    checkpoint_every: int = 0  # 0 = only at the end
 
     def __post_init__(self):
-        numeric = (
-            self.epochs, self.patch_size, self.patches_per_center,
-            self.batch_per_center, self.beta1, self.beta2, self.adam_eps,
-            self.charbonnier_eps,
+        positive = (
+            "epochs", "patch_size", "patches_per_center", "batch_per_center",
+            "beta1", "beta2", "adam_eps", "charbonnier_eps",
         )
-        if self.lr < 0 or any(v <= 0 for v in numeric):
-            raise UsageError(f"TrainConfig numbers out of range: {self}")
-        if self.gate not in ("relu", "softmax", "top2", "no_h"):
-            raise UsageError(f"unknown gate {self.gate!r}")
+        for key in positive:
+            if not getattr(self, key) > 0:
+                raise UsageError(f"{key} must be > 0, got {getattr(self, key)}")
+        for key in ("lr", "checkpoint_every"):
+            if not getattr(self, key) >= 0:
+                raise UsageError(f"{key} must be >= 0, got {getattr(self, key)}")
 
 
 # ---------------------------------------------------------------------------
@@ -141,15 +142,6 @@ def adam_step(named_params, state: AdamState, cfg: TrainConfig):
 # multi-center step and loop
 
 
-def _center_loss(net, batch, cfg):
-    acc = None
-    for low, full in batch:
-        est, _ = network_forward(net, Tensor(np.asarray(low)))
-        term = T.charbonnier(Tensor(np.asarray(full)), est, eps=cfg.charbonnier_eps)
-        acc = term if acc is None else T.add(acc, term)
-    return T.scale(acc, 1.0 / len(batch))
-
-
 def multi_center_step(
     net: DRMCNetwork,
     batches: dict[int, list],
@@ -169,7 +161,7 @@ def multi_center_step(
     buffers: dict[int, dict[str, np.ndarray]] = {}
     for cid in order:
         net.zero_grad()
-        loss = _center_loss(net, batches[cid], cfg)
+        loss = analysis.batch_loss(net, batches[cid], cfg.charbonnier_eps)
         loss.backward()
         losses[cid] = float(loss.data)
         buffers[cid] = {

@@ -287,7 +287,7 @@ def test_histogram_invariant_under_positive_logit_rescaling(gate):
     net = DRMCNetwork(ModelConfig(channels=4, n_experts=3, n_blocks=2, gate=gate), seed=5)
     perturb_parameters(net, seed=6)
     recs = _records(4, 4, [1, 2])
-    base = routing_histogram(net, recs, gate=gate)
+    base = routing_histogram(net, recs)
 
     # Only the final router's logits can be rescaled without touching any
     # downstream router's inputs (its gating affects no later computation).
@@ -295,5 +295,5 @@ def test_histogram_invariant_under_positive_logit_rescaling(gate):
     last = scaled.blocks[-1].ffn_router
     last.w_out.weight.data = last.w_out.weight.data * 2.0
     last.w_out.bias.data = last.w_out.bias.data * 2.0
-    rescaled = routing_histogram(scaled, recs, gate=gate)
+    rescaled = routing_histogram(scaled, recs)
     assert base.counts == rescaled.counts

@@ -60,10 +60,32 @@ def test_config_cross_field_validation():
         parse_config_text("data:\n  shape: [16, 16, 16]\ntrain:\n  patch_size: 20\n")
 
 
-def test_config_type_mismatch():
+@pytest.mark.parametrize(
+    "section, key, value",
+    [
+        ("train", "epochs", "many"),
+        ("model", "channels", "16.7"),
+        ("data", "seed", "1.5"),
+        ("train", "lr", "[1]"),
+        ("model", "router_hidden", "abc"),
+        ("train", "epochs", "2.0"),
+        ("train", "epochs", "true"),
+        ("train", "checkpoint_every", "-1"),
+    ],
+    ids=[
+        "epochs-str", "channels-float", "seed-float", "lr-list",
+        "router_hidden-str", "epochs-float", "epochs-bool", "checkpoint_every-negative",
+    ],
+)
+def test_config_type_mismatch(section, key, value):
     with pytest.raises(ConfigError) as e:
-        parse_config_text("train:\n  epochs: many\n")
-    assert "train.epochs" in str(e.value)
+        parse_config_text(f"{section}:\n  {key}: {value}\n")
+    assert f"{section}.{key}" in str(e.value)
+
+
+def test_config_int_widens_to_float():
+    lr = parse_config_text("train:\n  lr: 1\n").train.lr
+    assert lr == 1.0 and isinstance(lr, float)
 
 
 def test_config_yaml_error_reports_line():
@@ -160,6 +182,14 @@ def test_dispatch_missing_dataset_exits_1(tmp_path, capsys):
     assert "gen-data" in capsys.readouterr().err
 
 
+def test_dispatch_bad_config_value_exits_1(tmp_path, capsys):
+    cfg_path = tmp_path / "config.yaml"
+    cfg_path.write_text("model:\n  router_hidden: abc\n")
+    assert dispatch(["train", "--config", str(cfg_path), "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert "error:" in err and "model.router_hidden" in err
+
+
 _TINY_CONFIG = """\
 data:
   shape: [16, 16, 16]
@@ -220,7 +250,9 @@ def test_train_outputs(tiny_run):
     rows = _read_csv(out / "history.csv")
     assert rows[0] == ["epoch", "center_id", "train_loss", "val_psnr"]
     assert len(rows) == 1 + 1 * 4  # header + epochs x known centers
-    assert (out / "resolved_config.yaml").exists()
+    resolved = yaml.safe_load((out / "resolved_config.yaml").read_text())
+    # the echo carries the value that ran: router_hidden defaults to channels
+    assert resolved["model"]["router_hidden"] == 4
 
 
 def test_eval_outputs(tiny_run):

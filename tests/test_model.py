@@ -19,7 +19,6 @@ from drmc.model import (
     ExpertBank,
     FFNExpert,
     ModelConfig,
-    RouterChainState,
     _apply_gate,
     clone_network,
     drb_forward,
@@ -267,7 +266,7 @@ def test_block_with_suppressed_routers_is_bitwise_identity():
     block.att_router.w_out.bias.data = np.full(2, -5.0, np.float32)
     block.ffn_router.w_out.bias.data = np.full(2, -5.0, np.float32)
     x = random_volume(np.random.default_rng(17), (4, 4, 4), channels=4)
-    y, _, logs = drb_forward(block, x, RouterChainState.initial(4), gate="relu")
+    y, _, logs = drb_forward(block, x, Tensor(np.zeros(4, np.float32)), gate="relu")
     assert np.array_equal(y.data, x.data)
     assert all((w.data == 0.0).all() for w in logs)
 

@@ -183,7 +183,7 @@ def test_train_config_validation():
     with pytest.raises(UsageError):
         TrainConfig(lr=-1e-4)
     with pytest.raises(UsageError):
-        TrainConfig(gate="top1")
+        TrainConfig(checkpoint_every=-1)
     TrainConfig(lr=0.0)  # zero learning rate is a legal no-op configuration
 
 
