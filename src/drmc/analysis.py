@@ -115,33 +115,59 @@ def batch_loss(net: DRMCNetwork, batch, charb_eps: float) -> Tensor:
     return T.scale(acc, 1.0 / len(batch))
 
 
-def _batch_grad(net, batch, group_params, charb_eps, loss_fn=None) -> np.ndarray:
+def _group_label(group: Sequence[str], group_label: str = "") -> str:
+    return group_label or "+".join(sorted(set(group))[:1])
+
+
+def _batch_grads(net, batch, group_params, charb_eps, loss_fn=None) -> list[np.ndarray]:
+    """One backward pass over ``batch``; the gradient of each parameter group
+    in ``group_params`` as one float64 vector. The loss and its graph live
+    only in this scope, so they are freed before the next forward pass."""
     net.zero_grad()
-    loss = (loss_fn or batch_loss)(net, batch, charb_eps)
-    loss.backward()
-    pieces = [
-        (p.grad if p.grad is not None else np.zeros_like(p.data)).astype(np.float64).ravel()
-        for _, p in group_params
+    (loss_fn or batch_loss)(net, batch, charb_eps).backward()
+    out = [
+        np.concatenate([
+            (p.grad if p.grad is not None else np.zeros_like(p.data)).astype(np.float64).ravel()
+            for _, p in gp
+        ])
+        for gp in group_params
     ]
     net.zero_grad()
-    return np.concatenate(pieces)
+    return out
 
 
-def _normalized_grads(net, batches, group_params, charb_eps, loss_fn=None):
-    """Per-batch gradient vectors and their unit-normalized forms; zero-norm
-    batches are skipped with a warning."""
-    grads, units = [], []
-    for b, batch in enumerate(batches):
-        g = _batch_grad(net, batch, group_params, charb_eps, loss_fn)
+def _unit_grads(grads, where: str):
+    """The nonzero gradient vectors and their unit-normalized forms;
+    zero-norm batches are skipped with a warning."""
+    kept, units = [], []
+    for b, g in enumerate(grads):
         n = np.linalg.norm(g)
         if n == 0.0:
-            warnings.warn(f"skipping batch {b}: zero gradient norm on group")
+            warnings.warn(f"skipping batch {b}: zero gradient norm on {where}")
             continue
-        grads.append(g)
+        kept.append(g)
         units.append(g / n)
-    if not grads:
-        raise NumericError("all batches had zero gradient norm on the group")
-    return grads, units
+    if not kept:
+        raise NumericError(f"all batches had zero gradient norm on {where}")
+    return kept, units
+
+
+def center_gradients(
+    net: DRMCNetwork,
+    center_batches: dict[int, list],
+    groups: dict[str, Sequence[str]],
+    charb_eps: float = 1e-3,
+    loss_fn=None,
+) -> dict[str, dict[int, list[np.ndarray]]]:
+    """Per-batch gradient vectors keyed by group label, then center id. One
+    backward pass per (center, batch) serves every group."""
+    gps = {label: _group_param_list(net, names) for label, names in groups.items()}
+    out = {label: {cid: [] for cid in sorted(center_batches)} for label in gps}
+    for cid in sorted(center_batches):
+        for batch in center_batches[cid]:
+            for label, g in zip(gps, _batch_grads(net, batch, gps.values(), charb_eps, loss_fn)):
+                out[label][cid].append(g)
+    return out
 
 
 def delta_loss(
@@ -167,12 +193,13 @@ def delta_loss(
         group = [n for n, _ in net.named_parameters()]
     gp = _group_param_list(net, group)
     eval_loss = loss_fn or batch_loss
-    _, units_j = _normalized_grads(net, batches_j, gp, charb_eps, loss_fn)
+    grads_j = [_batch_grads(net, b, [gp], charb_eps, loss_fn)[0] for b in batches_j]
+    _, units_j = _unit_grads(grads_j, f"group {_group_label(group)}")
 
     if form == "first_order":
         vals = []
         for batch_i in batches_i:
-            gi = _batch_grad(net, batch_i, gp, charb_eps, loss_fn)
+            gi = _batch_grads(net, batch_i, [gp], charb_eps, loss_fn)[0]
             vals.append(lam * float(np.mean([u @ gi for u in units_j])))
         return float(np.mean(vals))
     if form == "exact":
@@ -201,24 +228,19 @@ def _apply_step(group_params, unit_vec: np.ndarray, scale: float):
         off += n
 
 
-def interference(
-    net: DRMCNetwork,
-    center_batches: dict[int, list],
-    group: Sequence[str],
-    group_label: str = "",
+def interference_from_gradients(
+    center_grads: dict[int, list[np.ndarray]],
+    group_label: str,
     lam: float = 1e-4,
-    charb_eps: float = 1e-3,
-    loss_fn=None,
 ) -> InterferenceMatrix:
-    """K x K matrix of I(i, j) over a parameter group, with fixed shared
-    batch sets per center; the diagonal is exactly 1."""
-    ids = sorted(center_batches)
-    gp = _group_param_list(net, group)
+    """K x K matrix of I(i, j) from one group's per-batch gradient vectors
+    per center (see ``center_gradients``); the diagonal is exactly 1."""
+    ids = sorted(center_grads)
     per_center_grads = {}
     per_center_units = {}
     for cid in ids:
-        grads, units = _normalized_grads(
-            net, center_batches[cid], gp, charb_eps, loss_fn
+        grads, units = _unit_grads(
+            center_grads[cid], f"group {group_label} for center {cid}"
         )
         per_center_grads[cid] = grads
         per_center_units[cid] = units
@@ -243,17 +265,34 @@ def interference(
             ratios = [n / d for n, d in zip(num, denom) if d != 0.0]
             if not ratios:
                 raise NumericError(
-                    f"interference denominator vanished for center {ci}"
+                    f"interference denominator vanished for center {ci} "
+                    f"on group {group_label}"
                 )
             values[a, b] = float(np.mean(ratios))
     n_batches = min(len(v) for v in per_center_grads.values())
     return InterferenceMatrix(
         values=values.astype(np.float32),
         center_ids=ids,
-        parameter_group=group_label or "+".join(sorted(set(group))[:1]),
+        parameter_group=group_label,
         n_batches=n_batches,
         lam=lam,
     )
+
+
+def interference(
+    net: DRMCNetwork,
+    center_batches: dict[int, list],
+    group: Sequence[str],
+    group_label: str = "",
+    lam: float = 1e-4,
+    charb_eps: float = 1e-3,
+    loss_fn=None,
+) -> InterferenceMatrix:
+    """K x K matrix of I(i, j) over a parameter group, with fixed shared
+    batch sets per center; the diagonal is exactly 1."""
+    label = _group_label(group, group_label)
+    grads = center_gradients(net, center_batches, {label: group}, charb_eps, loss_fn)
+    return interference_from_gradients(grads[label], label, lam)
 
 
 # ---------------------------------------------------------------------------

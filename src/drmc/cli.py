@@ -47,15 +47,11 @@ def _write_csv(path, header, rows):
 
 
 def _centers_from(cfg: RunConfig) -> tuple[list[CenterSpec], list[CenterSpec]]:
-    known = (
-        default_known_centers()
-        if cfg.data.centers == "default"
-        else [CenterSpec(**d) for d in cfg.data.centers]
-    )
+    known = default_known_centers() if cfg.data.centers == "default" else cfg.data.centers
     unknown = (
         default_unknown_centers()
         if cfg.data.unknown_centers == "default"
-        else [CenterSpec(**d) for d in cfg.data.unknown_centers]
+        else cfg.data.unknown_centers
     )
     return known, unknown
 
@@ -201,11 +197,12 @@ def cmd_interference(cfg: RunConfig, checkpoint=None) -> int:
         groups = {"all": [n for n, _ in net.named_parameters()]}
     else:
         groups = analysis.parameter_groups(net)
-    for label, names in groups.items():
-        mat = analysis.interference(
-            net, batches, names, group_label=label,
-            lam=cfg.analysis.lam,
-            charb_eps=cfg.train.charbonnier_eps,
+    grads = analysis.center_gradients(
+        net, batches, groups, charb_eps=cfg.train.charbonnier_eps
+    )
+    for label, center_grads in grads.items():
+        mat = analysis.interference_from_gradients(
+            center_grads, label, lam=cfg.analysis.lam
         )
         path = out / f"interference_{label}.csv"
         _write_csv(

@@ -5,12 +5,13 @@ every default explicitly so a resolved echo can be written next to outputs.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import MISSING, asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Union, get_args, get_origin, get_type_hints
 
 import yaml
 
+from .data import CenterSpec
 from .errors import ConfigError, DrmcError
 from .model import ModelConfig
 from .training import TrainConfig
@@ -18,7 +19,7 @@ from .training import TrainConfig
 
 @dataclass
 class DataSection:
-    centers: object = "default"  # "default" or list of CenterSpec dicts
+    centers: object = "default"  # "default" or a list of CenterSpec
     unknown_centers: object = "default"
     shape: list[int] = field(default_factory=lambda: [24, 24, 24])
     n_train: int = 8
@@ -53,8 +54,9 @@ _SECTIONS = {f.name: f.default_factory for f in fields(RunConfig)}
 
 def _check_type(value, hint, where: str):
     """``value`` as the annotation ``hint`` asks for: an int field takes an
-    int (not a bool), a float field an int or a float (stored as float),
-    ``Optional[X]`` also null, ``list[X]`` a list of X, ``object`` anything."""
+    int (not a bool), a float field an int or a float (stored as float), a
+    bool field a bool, ``Optional[X]`` also null, ``list[X]`` a list of X,
+    ``object`` anything."""
     if hint is object:
         return value
     if get_origin(hint) is Union:
@@ -68,20 +70,25 @@ def _check_type(value, hint, where: str):
         return [_check_type(v, item, f"{where}[{i}]") for i, v in enumerate(value)]
     if hint is float and isinstance(value, int) and not isinstance(value, bool):
         return float(value)
-    if isinstance(value, bool) or not isinstance(value, hint):
+    if isinstance(value, bool) != (hint is bool) or not isinstance(value, hint):
         raise ConfigError(
             f"type mismatch at {where}: expected {hint.__name__}, got {value!r}"
         )
     return value
 
 
-def _fill_section(cls, raw: dict, path: str):
+def _fill_section(cls, raw, path: str):
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{path} must be a mapping, got {raw!r}")
     hints = get_type_hints(cls)
     kwargs = {}
     for key, value in raw.items():
         if key not in hints:
             raise ConfigError(f"unknown key {path}.{key}; allowed: {sorted(hints)}")
         kwargs[key] = _check_type(value, hints[key], f"{path}.{key}")
+    for f in fields(cls):
+        if f.default is MISSING and f.default_factory is MISSING and f.name not in raw:
+            raise ConfigError(f"missing key {path}.{f.name}")
     try:
         return cls(**kwargs)
     except DrmcError as e:
@@ -89,11 +96,28 @@ def _fill_section(cls, raw: dict, path: str):
         raise ConfigError(f"{path}.{e}") from None
 
 
+def _center_specs(value, path: str):
+    """``"default"`` as is, or each entry of a list of center mappings parsed
+    into a ``CenterSpec``."""
+    if value == "default":
+        return value
+    if not isinstance(value, list):
+        raise ConfigError(f"{path} must be 'default' or a list of centers, got {value!r}")
+    return [_fill_section(CenterSpec, d, f"{path}[{i}]") for i, d in enumerate(value)]
+
+
 def _validate(cfg: RunConfig):
     if len(cfg.data.shape) != 3 or any(s < 16 for s in cfg.data.shape):
         raise ConfigError(f"data.shape must be 3 dims each >= 16, got {cfg.data.shape}")
     if cfg.train.patch_size > min(cfg.data.shape):
         raise ConfigError("train.patch_size exceeds data.shape")
+    for key in ("n_batches", "batch_size"):
+        if getattr(cfg.analysis, key) < 1:
+            raise ConfigError(
+                f"analysis.{key} must be >= 1, got {getattr(cfg.analysis, key)}"
+            )
+    if not cfg.analysis.lam > 0:
+        raise ConfigError(f"analysis.lam must be > 0, got {cfg.analysis.lam}")
     if cfg.analysis.groups not in ("per_block", "all"):
         raise ConfigError(
             f"analysis.groups must be 'per_block' or 'all', got {cfg.analysis.groups!r}"
@@ -117,10 +141,10 @@ def parse_config_text(text: str, source: str = "<string>") -> RunConfig:
             raise ConfigError(f"unknown section {key!r}; allowed: {sorted(_SECTIONS)}")
         if value is None:
             continue
-        if not isinstance(value, dict):
-            raise ConfigError(f"section {key!r} must be a mapping")
         kwargs[key] = _fill_section(_SECTIONS[key], value, key)
     cfg = RunConfig(**kwargs)
+    cfg.data.centers = _center_specs(cfg.data.centers, "data.centers")
+    cfg.data.unknown_centers = _center_specs(cfg.data.unknown_centers, "data.unknown_centers")
     _validate(cfg)
     return cfg
 

@@ -31,19 +31,20 @@ class CenterSpec:
     lesions: bool = True
 
     def __post_init__(self):
+        # messages name the field first: config parsing prefixes the key path
         if self.drf < 1.0:
-            raise ConfigurationError(f"center {self.id}: drf must be >= 1, got {self.drf}")
+            raise ConfigurationError(f"drf must be >= 1, got {self.drf} (center {self.id})")
         if self.psf_sigma < 0.0:
             raise ConfigurationError(
-                f"center {self.id}: psf_sigma must be >= 0, got {self.psf_sigma}"
+                f"psf_sigma must be >= 0, got {self.psf_sigma} (center {self.id})"
             )
         if self.count_scale <= 0.0:
             raise ConfigurationError(
-                f"center {self.id}: count_scale must be > 0, got {self.count_scale}"
+                f"count_scale must be > 0, got {self.count_scale} (center {self.id})"
             )
         if self.phantom not in ("body", "brain"):
             raise ConfigurationError(
-                f"center {self.id}: phantom must be 'body' or 'brain', got {self.phantom!r}"
+                f"phantom must be 'body' or 'brain', got {self.phantom!r} (center {self.id})"
             )
 
 

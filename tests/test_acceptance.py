@@ -19,8 +19,10 @@ import pytest
 from _utils import input_loss_fn, parameter_fd, perturb_parameters, random_volume
 from drmc import tensor as T
 from drmc.analysis import (
+    center_gradients,
     delta_loss,
     interference,
+    interference_from_gradients,
     parameter_groups,
     routing_histogram,
 )
@@ -306,13 +308,15 @@ def test_c06_interference_existence(desk_dataset):
 
     bcfg = TrainConfig(**{**vars(cfg), "batch_per_center": 2})
     batches = sample_center_batches(_known(desk_dataset), bcfg, n_batches=20, seed=7)
+    # one backward pass per (center, batch), shared by every group
+    grads = center_gradients(baseline, batches, parameter_groups(baseline))
     negatives = {}
     gated_off = []
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # zero-norm batch skips are expected
-        for label, names in parameter_groups(baseline).items():
+        for label, center_grads in grads.items():
             try:
-                mat = interference(baseline, batches, names, group_label=label, lam=1e-4)
+                mat = interference_from_gradients(center_grads, label, lam=1e-4)
             except NumericError:
                 # a relu-gated bank can end up never selected for a center,
                 # leaving that group with no gradient signal to measure

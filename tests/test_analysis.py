@@ -11,14 +11,16 @@ import pytest
 from _utils import perturb_parameters, random_volume
 from drmc import tensor as T
 from drmc.analysis import (
+    center_gradients,
     delta_loss,
     interference,
+    interference_from_gradients,
     lesion_bias,
     parameter_groups,
     psnr,
     routing_histogram,
 )
-from drmc.errors import DimensionError, UsageError
+from drmc.errors import DimensionError, NumericError, UsageError
 from drmc.model import (
     DRMCNetwork,
     ModelConfig,
@@ -27,6 +29,7 @@ from drmc.model import (
     clone_network,
 )
 from drmc.tensor import Tensor
+from drmc.training import AdamState, TrainConfig, multi_center_step
 
 
 # ---------------------------------------------------------------------------
@@ -232,6 +235,43 @@ def test_interference_heatmap_mentions_centers_and_group():
     )
     text = mat.text_heatmap()
     assert "C1" in text and "C2" in text and "toy" in text
+
+
+def test_shared_gradients_match_per_group_interference():
+    net = DRMCNetwork(ModelConfig(channels=4, n_experts=2, n_blocks=2, gate="softmax"), seed=3)
+    rng = np.random.default_rng(4)
+
+    def batch():
+        return [
+            (
+                rng.uniform(0, 1, (1, 6, 6, 6)).astype(np.float32),
+                rng.uniform(0, 1, (1, 6, 6, 6)).astype(np.float32),
+            )
+            for _ in range(2)
+        ]
+
+    # a few steps move the zero-initialized tail conv, so every block has a gradient
+    state, cfg = AdamState(), TrainConfig(lr=1e-2)
+    for _ in range(3):
+        multi_center_step(net, {c: batch() for c in (1, 2, 3)}, state, cfg)
+    center_batches = {c: [batch(), batch(), batch()] for c in (1, 2, 3)}
+    groups = parameter_groups(net)
+    shared = center_gradients(net, center_batches, groups)
+    assert sorted(shared) == sorted(groups)
+    for label, names in groups.items():
+        want = interference(net, center_batches, names, group_label=label)
+        got = interference_from_gradients(shared[label], label)
+        assert np.array_equal(got.values, want.values), label
+        assert (got.center_ids, got.parameter_group, got.n_batches) == (
+            want.center_ids, want.parameter_group, want.n_batches)
+
+
+def test_zero_gradient_group_is_named():
+    toy = _ToyTask((1.0, 1.0))
+    loss_fn = _quadratic_loss([1.0, 1.0], [1.0, 1.0])  # at its minimum
+    with pytest.warns(UserWarning, match="group toy for center 1"):
+        with pytest.raises(NumericError, match="group toy for center 1"):
+            interference(toy, {1: [1], 2: [2]}, ["w"], group_label="toy", loss_fn=loss_fn)
 
 
 def test_parameter_groups_cover_all_banks():

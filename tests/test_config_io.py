@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 import yaml
 
+from _utils import perturb_parameters
 from drmc.cli import dispatch, load_records
 from drmc.config import (
     RunConfig,
@@ -16,7 +17,9 @@ from drmc.config import (
     parse_config,
     parse_config_text,
 )
+from drmc.data import CenterSpec
 from drmc.errors import ConfigError, FormatError
+from drmc.model import DRMCNetwork, ModelConfig, save_checkpoint
 from drmc.tensor import Tensor
 from drmc.volio import read_volume, write_volume
 
@@ -86,6 +89,40 @@ def test_config_type_mismatch(section, key, value):
 def test_config_int_widens_to_float():
     lr = parse_config_text("train:\n  lr: 1\n").train.lr
     assert lr == 1.0 and isinstance(lr, float)
+
+
+@pytest.mark.parametrize(
+    "text, key",
+    [
+        ("data:\n  centers: [{id: 1, foo: 1}]\n", "data.centers[0].foo"),
+        ("data:\n  centers: [{drf: 2}]\n", "data.centers[0].id"),
+        ("data:\n  centers: [{id: 1}, {id: 2, drf: 0.5}]\n", "data.centers[1].drf"),
+        ("data:\n  unknown_centers: [{id: 5, lesions: 1}]\n", "data.unknown_centers[0].lesions"),
+        ("data:\n  unknown_centers: [5]\n", "data.unknown_centers[0]"),
+        ("data:\n  centers: body\n", "data.centers"),
+        ("analysis:\n  n_batches: 0\n", "analysis.n_batches"),
+        ("analysis:\n  batch_size: 0\n", "analysis.batch_size"),
+        ("analysis:\n  lam: 0\n", "analysis.lam"),
+    ],
+    ids=[
+        "center-unknown-key", "center-missing-id", "center-range", "center-bool",
+        "center-not-mapping", "centers-not-list", "n_batches-zero", "batch_size-zero",
+        "lam-zero",
+    ],
+)
+def test_config_center_entries_and_analysis_ranges(text, key):
+    with pytest.raises(ConfigError) as e:
+        parse_config_text(text)
+    assert key in str(e.value)
+
+
+def test_config_center_entries_parse_to_specs():
+    cfg = parse_config_text(
+        "data:\n  centers: [{id: 7, drf: 4, lesions: false}]\n  unknown_centers: []\n"
+    )
+    assert cfg.data.centers == [CenterSpec(id=7, drf=4.0, lesions=False)]
+    assert cfg.data.unknown_centers == []
+    assert parse_config_text(emit_config(cfg)) == cfg
 
 
 def test_config_yaml_error_reports_line():
@@ -190,6 +227,15 @@ def test_dispatch_bad_config_value_exits_1(tmp_path, capsys):
     assert "error:" in err and "model.router_hidden" in err
 
 
+def test_dispatch_bad_center_entry_exits_1(tmp_path, capsys):
+    cfg_path = tmp_path / "config.yaml"
+    cfg_path.write_text("data:\n  centers: [{foo: 1}]\n")
+    assert dispatch(["gen-data", "--config", str(cfg_path), "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert "error:" in err and "data.centers[0].foo" in err
+    assert not (tmp_path / "data").exists()
+
+
 _TINY_CONFIG = """\
 data:
   shape: [16, 16, 16]
@@ -287,6 +333,41 @@ def test_interference_outputs(tiny_run):
         values = np.array([[float(v) for v in row] for row in rows[1:]])
         assert values.shape == (4, 4)
         assert np.array_equal(np.diag(values), np.ones(4, np.float32))
+
+
+def test_interference_one_backward_per_center_batch(tiny_run, monkeypatch):
+    out, args = tiny_run
+    calls = []
+    backward = Tensor.backward
+
+    def counting_backward(self):
+        calls.append(self)
+        return backward(self)
+
+    monkeypatch.setattr(Tensor, "backward", counting_backward)
+    assert dispatch(["interference"] + args) == 0
+    assert len(list(out.glob("interference_*.csv"))) == 2
+    # 4 known centers x analysis.n_batches 2, shared by both groups
+    assert len(calls) == 4 * 2
+
+
+def test_interference_dark_bank_exits_1_naming_group(tmp_path, capsys):
+    cfg_path = tmp_path / "config.yaml"
+    cfg_path.write_text(_TINY_CONFIG.replace("gate: softmax", "gate: relu"))
+    args = ["--config", str(cfg_path), "--out", str(tmp_path)]
+    assert dispatch(["gen-data"] + args) == 0
+    net = DRMCNetwork(ModelConfig(channels=4, n_experts=2, n_blocks=1, gate="relu"), seed=0)
+    perturb_parameters(net, seed=1)
+    net.blocks[0].att_router.w_out.bias.data[:] = 5.0  # every attention expert live
+    net.blocks[0].ffn_router.w_out.bias.data[:] = -1e3  # the FFN bank never selected
+    save_checkpoint(net, tmp_path / "checkpoint.drmc")
+    with pytest.warns(UserWarning, match="zero gradient norm on group block0_ffn"):
+        assert dispatch(["interference"] + args) == 1
+    assert "group block0_ffn" in capsys.readouterr().err
+    # the group before the dark one is still written
+    assert [p.name for p in tmp_path.glob("interference_*.csv")] == [
+        "interference_block0_att.csv"
+    ]
 
 
 def test_eval_with_explicit_checkpoint(tiny_run, tmp_path):
