@@ -26,7 +26,7 @@ from .data import (
     default_known_centers,
     default_unknown_centers,
 )
-from .errors import DrmcError, UsageError
+from .errors import DrmcError, NumericError, UsageError
 from .model import DRMCNetwork, load_checkpoint, save_checkpoint
 
 
@@ -200,10 +200,15 @@ def cmd_interference(cfg: RunConfig, checkpoint=None) -> int:
     grads = analysis.center_gradients(
         net, batches, groups, charb_eps=cfg.train.charbonnier_eps
     )
+    gated_off = []
     for label, center_grads in grads.items():
-        mat = analysis.interference_from_gradients(
-            center_grads, label, lam=cfg.analysis.lam
-        )
+        try:
+            mat = analysis.interference_from_gradients(
+                center_grads, label, lam=cfg.analysis.lam
+            )
+        except NumericError as e:
+            gated_off.append(str(e))
+            continue
         path = out / f"interference_{label}.csv"
         _write_csv(
             path,
@@ -212,6 +217,8 @@ def cmd_interference(cfg: RunConfig, checkpoint=None) -> int:
         )
         print(mat.text_heatmap())
         print(f"wrote {path}")
+    if gated_off:
+        raise NumericError("; ".join(gated_off))
     write_resolved_config(cfg, cfg.io.out_dir)
     return 0
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import ndimage
 
-from .errors import ConfigurationError, DimensionError, DomainError
+from .errors import ConfigError, DimensionError, DomainError
 from .tensor import Tensor
 
 
@@ -33,17 +33,17 @@ class CenterSpec:
     def __post_init__(self):
         # messages name the field first: config parsing prefixes the key path
         if self.drf < 1.0:
-            raise ConfigurationError(f"drf must be >= 1, got {self.drf} (center {self.id})")
+            raise ConfigError(f"drf must be >= 1, got {self.drf} (center {self.id})")
         if self.psf_sigma < 0.0:
-            raise ConfigurationError(
+            raise ConfigError(
                 f"psf_sigma must be >= 0, got {self.psf_sigma} (center {self.id})"
             )
         if self.count_scale <= 0.0:
-            raise ConfigurationError(
+            raise ConfigError(
                 f"count_scale must be > 0, got {self.count_scale} (center {self.id})"
             )
         if self.phantom not in ("body", "brain"):
-            raise ConfigurationError(
+            raise ConfigError(
                 f"phantom must be 'body' or 'brain', got {self.phantom!r} (center {self.id})"
             )
 
@@ -206,7 +206,7 @@ def build_dataset(
     center's recipe, run the voxel-spacing round-trip back onto the common
     grid. Train/test phantom seeds are disjoint by construction."""
     if not centers:
-        raise ConfigurationError("build_dataset needs at least one center")
+        raise ConfigError("build_dataset needs at least one center")
     records = []
     for c in centers:
         for k in range(n_train_per_center + n_test_per_center):

@@ -9,10 +9,6 @@ class DimensionError(DrmcError, ValueError):
     """Tensor shapes are incompatible with the requested operation."""
 
 
-class ConfigurationError(DrmcError, ValueError):
-    """A structural parameter (channel counts, expert counts, ...) is invalid."""
-
-
 class NumericError(DrmcError, ArithmeticError):
     """Non-finite values or numerically invalid inputs."""
 

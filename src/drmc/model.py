@@ -18,7 +18,7 @@ from typing import Iterator, Optional
 import numpy as np
 
 from . import tensor as T
-from .errors import ConfigurationError, FormatError
+from .errors import ConfigError, FormatError
 from .tensor import Tensor
 
 GATE_KINDS = ("relu", "softmax", "top2", "no_h")
@@ -62,14 +62,11 @@ def _fanin_uniform(rng: np.random.Generator, shape, fan_in: int) -> np.ndarray:
 
 
 class Linear(Module):
-    def __init__(self, out_features: int, in_features: int, bias: bool = True):
-        self.weight = Parameter(np.zeros((out_features, in_features), np.float32))
+    def __init__(
+        self, out_features: int, in_features: int, rng: np.random.Generator, bias: bool = True
+    ):
+        self.weight = Parameter(_fanin_uniform(rng, (out_features, in_features), in_features))
         self.bias = Parameter(np.zeros(out_features, np.float32)) if bias else None
-
-    def _init(self, rng: np.random.Generator):
-        self.weight.data = _fanin_uniform(rng, self.weight.shape, self.weight.shape[1])
-        if self.bias is not None:
-            self.bias.data = np.zeros_like(self.bias.data)
 
     def __call__(self, x: Tensor) -> Tensor:
         # x: (in, S) column-major feature matrix
@@ -83,22 +80,14 @@ class AttentionExpert(Module):
     """Channel attention with linear cost in voxel count, plus a depthwise
     conv reinstating local spatial context."""
 
-    def __init__(self, channels: int):
+    def __init__(self, channels: int, rng: np.random.Generator):
         c = channels
-        self.q_proj = Linear(c, c, bias=False)
-        self.k_proj = Linear(c, c, bias=False)
-        self.v_proj = Linear(c, c, bias=False)
+        self.q_proj = Linear(c, c, rng, bias=False)
+        self.k_proj = Linear(c, c, rng, bias=False)
+        self.v_proj = Linear(c, c, rng, bias=False)
         self.log_temperature = Parameter(np.zeros((), np.float32))
-        self.out_proj = Linear(c, c, bias=False)
-        self.local_conv = Parameter(np.zeros((c, 1, 3, 3, 3), np.float32))
-
-    def _init(self, rng: np.random.Generator):
-        self.q_proj._init(rng)
-        self.k_proj._init(rng)
-        self.v_proj._init(rng)
-        self.log_temperature.data = np.zeros((), np.float32)
-        self.out_proj._init(rng)
-        self.local_conv.data = _fanin_uniform(rng, self.local_conv.shape, 27)
+        self.out_proj = Linear(c, c, rng, bias=False)
+        self.local_conv = Parameter(_fanin_uniform(rng, (c, 1, 3, 3, 3), 27))
 
     def __call__(self, x: Tensor) -> Tensor:
         c, d, h, w = x.shape
@@ -125,14 +114,10 @@ def _transpose(t: Tensor) -> Tensor:
 class FFNExpert(Module):
     """Position-wise 2-layer MLP with GELU, hidden width 2C."""
 
-    def __init__(self, channels: int):
+    def __init__(self, channels: int, rng: np.random.Generator):
         c = channels
-        self.w1 = Linear(2 * c, c)
-        self.w2 = Linear(c, 2 * c)
-
-    def _init(self, rng: np.random.Generator):
-        self.w1._init(rng)
-        self.w2._init(rng)
+        self.w1 = Linear(2 * c, c, rng)
+        self.w2 = Linear(c, 2 * c, rng)
 
     def __call__(self, x: Tensor) -> Tensor:
         c, d, h, w = x.shape
@@ -142,16 +127,11 @@ class FFNExpert(Module):
 
 
 class ExpertBank(Module):
-    def __init__(self, kind: str, channels: int, n_experts: int):
+    def __init__(self, kind: str, channels: int, n_experts: int, rng: np.random.Generator):
         if n_experts < 1:
-            raise ConfigurationError(f"expert bank needs M >= 1, got {n_experts}")
-        self.kind = kind
+            raise ConfigError(f"expert bank needs M >= 1, got {n_experts}")
         cls = AttentionExpert if kind == "attention" else FFNExpert
-        self.experts = [cls(channels) for _ in range(n_experts)]
-
-    def _init(self, rng: np.random.Generator):
-        for e in self.experts:
-            e._init(rng)
+        self.experts = [cls(channels, rng) for _ in range(n_experts)]
 
     def __len__(self):
         return len(self.experts)
@@ -160,15 +140,11 @@ class ExpertBank(Module):
 class DynamicRoutingModule(Module):
     """Router MLP: [GAP(X), H] -> hidden -> M nonnegative expert weights."""
 
-    def __init__(self, channels: int, hidden: int, n_experts: int):
-        self.w_in = Linear(hidden, channels + hidden)
-        self.w_out = Linear(n_experts, hidden)
+    def __init__(self, channels: int, hidden: int, n_experts: int, rng: np.random.Generator):
+        self.w_in = Linear(hidden, channels + hidden, rng)
+        self.w_out = Linear(n_experts, hidden, rng)
         self.n_experts = n_experts
         self.hidden = hidden
-
-    def _init(self, rng: np.random.Generator):
-        self.w_in._init(rng)
-        self.w_out._init(rng)
 
 
 def _apply_gate(logits: Tensor, gate: str) -> Tensor:
@@ -179,7 +155,7 @@ def _apply_gate(logits: Tensor, gate: str) -> Tensor:
         return T.softmax(logits, axis=0)
     if gate == "top2":
         if m < 2:
-            raise ConfigurationError("top2 gate requires at least 2 experts")
+            raise ConfigError("top2 gate requires at least 2 experts")
         keep = np.argsort(logits.data)[-2:]
         sel = np.zeros((2, m), np.float32)
         sel[np.arange(2), keep] = 1.0
@@ -187,7 +163,7 @@ def _apply_gate(logits: Tensor, gate: str) -> Tensor:
         kept = T.matmul(sel_t, T.reshape(logits, (m, 1)))
         sm = T.softmax(kept, axis=0)
         return T.reshape(T.matmul(_transpose(sel_t), sm), (m,))
-    raise ConfigurationError(f"unknown gate kind {gate!r}, allowed: {GATE_KINDS}")
+    raise ConfigError(f"unknown gate kind {gate!r}, allowed: {GATE_KINDS}")
 
 
 def route(
@@ -209,7 +185,7 @@ def fuse(bank: ExpertBank, x: Tensor, w: Tensor) -> Tensor:
     """Weighted sum of expert outputs; experts with exactly-zero weight are
     never evaluated."""
     if w.shape != (len(bank),):
-        raise ConfigurationError(
+        raise ConfigError(
             f"weight vector shape {w.shape} does not match bank size {len(bank)}"
         )
     out: Optional[Tensor] = None
@@ -225,26 +201,16 @@ def fuse(bank: ExpertBank, x: Tensor, w: Tensor) -> Tensor:
 
 
 class DynamicRoutingBlock(Module):
-    def __init__(self, channels: int, hidden: int, n_experts: int):
+    def __init__(self, channels: int, hidden: int, n_experts: int, rng: np.random.Generator):
         c = channels
         self.norm1_gain = Parameter(np.ones(c, np.float32))
         self.norm1_offset = Parameter(np.zeros(c, np.float32))
-        self.att_bank = ExpertBank("attention", c, n_experts)
-        self.att_router = DynamicRoutingModule(c, hidden, n_experts)
+        self.att_bank = ExpertBank("attention", c, n_experts, rng)
+        self.att_router = DynamicRoutingModule(c, hidden, n_experts, rng)
         self.norm2_gain = Parameter(np.ones(c, np.float32))
         self.norm2_offset = Parameter(np.zeros(c, np.float32))
-        self.ffn_bank = ExpertBank("ffn", c, n_experts)
-        self.ffn_router = DynamicRoutingModule(c, hidden, n_experts)
-
-    def _init(self, rng: np.random.Generator):
-        self.norm1_gain.data = np.ones_like(self.norm1_gain.data)
-        self.norm1_offset.data = np.zeros_like(self.norm1_offset.data)
-        self.att_bank._init(rng)
-        self.att_router._init(rng)
-        self.norm2_gain.data = np.ones_like(self.norm2_gain.data)
-        self.norm2_offset.data = np.zeros_like(self.norm2_offset.data)
-        self.ffn_bank._init(rng)
-        self.ffn_router._init(rng)
+        self.ffn_bank = ExpertBank("ffn", c, n_experts, rng)
+        self.ffn_router = DynamicRoutingModule(c, hidden, n_experts, rng)
 
 
 def drb_forward(
@@ -272,44 +238,36 @@ class ModelConfig:
         if self.router_hidden is None:
             self.router_hidden = self.channels
         if self.gate not in GATE_KINDS:
-            raise ConfigurationError(
+            raise ConfigError(
                 f"gate must be one of {GATE_KINDS}, got {self.gate!r}"
             )
         for key in ("channels", "n_experts", "n_blocks", "router_hidden"):
             if getattr(self, key) < 1:
-                raise ConfigurationError(f"{key} must be >= 1, got {getattr(self, key)}")
+                raise ConfigError(f"{key} must be >= 1, got {getattr(self, key)}")
         if self.gate == "top2" and self.n_experts < 2:
-            raise ConfigurationError("gate=top2 requires n_experts >= 2")
+            raise ConfigError("gate=top2 requires n_experts >= 2")
 
 
 class DRMCNetwork(Module):
+    """Parameters are drawn from ``seed`` in declaration order; the tail
+    conv is all-zero, so the network is the identity map until the first
+    optimizer step."""
+
     def __init__(self, config: ModelConfig, seed: int = 0):
         self.config = config
         c = config.channels
-        self.head_weight = Parameter(np.zeros((c, 1, 3, 3, 3), np.float32))
+        rng = np.random.default_rng(seed)
+        self.head_weight = Parameter(_fanin_uniform(rng, (c, 1, 3, 3, 3), 27))
         self.head_bias = Parameter(np.zeros(c, np.float32))
         self.blocks = [
-            DynamicRoutingBlock(c, config.router_hidden, config.n_experts)
+            DynamicRoutingBlock(c, config.router_hidden, config.n_experts, rng)
             for _ in range(config.n_blocks)
         ]
         self.tail_weight = Parameter(np.zeros((1, c, 3, 3, 3), np.float32))
         self.tail_bias = Parameter(np.zeros(1, np.float32))
-        init_parameters(self, seed)
 
     def __call__(self, low: Tensor):
         return network_forward(self, low)
-
-
-def init_parameters(net: DRMCNetwork, seed: int):
-    """Deterministic re-initialization; tail conv stays all-zero so the
-    network is the identity map until the first optimizer step."""
-    rng = np.random.default_rng(seed)
-    net.head_weight.data = _fanin_uniform(rng, net.head_weight.shape, 27)
-    net.head_bias.data = np.zeros_like(net.head_bias.data)
-    for block in net.blocks:
-        block._init(rng)
-    net.tail_weight.data = np.zeros_like(net.tail_weight.data)
-    net.tail_bias.data = np.zeros_like(net.tail_bias.data)
 
 
 def network_forward(net: DRMCNetwork, low: Tensor) -> tuple[Tensor, list[Tensor]]:

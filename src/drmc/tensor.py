@@ -21,7 +21,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .errors import DimensionError, ConfigurationError, NumericError, UsageError
+from .errors import ConfigError, DimensionError, NumericError, UsageError
 
 _ids = itertools.count()
 _grad_enabled = True
@@ -66,12 +66,6 @@ class Tensor:
 
     def zero_grad(self):
         self.grad = None
-
-    def detach(self) -> "Tensor":
-        return Tensor(self.data)
-
-    def item(self) -> float:
-        return float(self.data)
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
@@ -313,17 +307,17 @@ def conv3d(
     c_in = x.data.shape[0]
     c_out, c_in_g, kd, kh, kw = weight.data.shape
     if any(k % 2 == 0 for k in (kd, kh, kw)):
-        raise ConfigurationError(f"kernel sizes must be odd, got {(kd, kh, kw)}")
+        raise ConfigError(f"kernel sizes must be odd, got {(kd, kh, kw)}")
     if groups not in (1, c_in):
-        raise ConfigurationError(f"groups must be 1 or C_in={c_in}, got {groups}")
+        raise ConfigError(f"groups must be 1 or C_in={c_in}, got {groups}")
     if c_in % groups != 0 or c_in_g != c_in // groups:
-        raise ConfigurationError(
+        raise ConfigError(
             f"channel count {c_in} not compatible with groups={groups} "
             f"and weight shape {weight.data.shape}"
         )
     depthwise = groups == c_in and groups > 1
     if depthwise and c_out != c_in:
-        raise ConfigurationError("depthwise conv requires C_out == C_in")
+        raise ConfigError("depthwise conv requires C_out == C_in")
 
     pad = padding
     xp = np.pad(x.data, ((0, 0), (pad, pad), (pad, pad), (pad, pad)))

@@ -165,7 +165,7 @@ def multi_center_step(
         loss.backward()
         losses[cid] = float(loss.data)
         buffers[cid] = {
-            name: (p.grad.copy() if p.grad is not None else np.zeros_like(p.data))
+            name: (p.grad if p.grad is not None else np.zeros_like(p.data))
             for name, p in named
         }
     k = len(order)

@@ -182,14 +182,12 @@ def test_c02_routing_algebra():
         assert np.count_nonzero(w.data) == min(2, m)
         assert abs(float(w.data.sum()) - 1.0) <= 1e-6
 
-    bank = ExpertBank("ffn", 4, 3)
-    bank._init(np.random.default_rng(7))
+    bank = ExpertBank("ffn", 4, 3, np.random.default_rng(7))
     x = random_volume(np.random.default_rng(8), (4, 4, 4), channels=4)
     fused = fuse(bank, x, Tensor(np.float32([0.0, 0.0, 1.0])))
     assert np.array_equal(fused.data, bank.experts[2](x).data)
 
-    block = DynamicRoutingBlock(channels=4, hidden=4, n_experts=3)
-    block._init(np.random.default_rng(9))
+    block = DynamicRoutingBlock(channels=4, hidden=4, n_experts=3, rng=np.random.default_rng(9))
     block.att_router.w_out.bias.data = np.full(3, -9.0, np.float32)
     block.ffn_router.w_out.bias.data = np.full(3, -9.0, np.float32)
     v = random_volume(np.random.default_rng(10), (4, 4, 4), channels=4)

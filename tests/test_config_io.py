@@ -370,6 +370,31 @@ def test_interference_dark_bank_exits_1_naming_group(tmp_path, capsys):
     ]
 
 
+def test_interference_writes_every_measurable_group(tmp_path, capsys):
+    cfg_path = tmp_path / "config.yaml"
+    cfg_path.write_text(
+        _TINY_CONFIG.replace("gate: softmax", "gate: relu").replace("n_blocks: 1", "n_blocks: 2")
+    )
+    args = ["--config", str(cfg_path), "--out", str(tmp_path)]
+    assert dispatch(["gen-data"] + args) == 0
+    net = DRMCNetwork(ModelConfig(channels=4, n_experts=2, n_blocks=2, gate="relu"), seed=0)
+    perturb_parameters(net, seed=1)
+    for block in net.blocks:
+        block.att_router.w_out.bias.data[:] = 5.0
+        block.ffn_router.w_out.bias.data[:] = 5.0
+    net.blocks[0].att_router.w_out.bias.data[:] = -1e3  # the first bank never selected
+    save_checkpoint(net, tmp_path / "checkpoint.drmc")
+    with pytest.warns(UserWarning, match="zero gradient norm on group block0_att"):
+        assert dispatch(["interference"] + args) == 1
+    assert "group block0_att" in capsys.readouterr().err
+    # every group after the dark one still gets its matrix
+    assert sorted(p.name for p in tmp_path.glob("interference_*.csv")) == [
+        "interference_block0_ffn.csv",
+        "interference_block1_att.csv",
+        "interference_block1_ffn.csv",
+    ]
+
+
 def test_eval_with_explicit_checkpoint(tiny_run, tmp_path):
     out, args = tiny_run
     assert dispatch(["eval"] + args + ["--checkpoint", str(out / "checkpoint.drmc")]) == 0

@@ -15,7 +15,7 @@ from drmc.data import (
     resample,
     resample_to,
 )
-from drmc.errors import ConfigurationError, DimensionError, DomainError
+from drmc.errors import ConfigError, DimensionError, DomainError
 from drmc.tensor import Tensor
 
 
@@ -114,13 +114,13 @@ def test_degrade_applies_affine_shift():
 
 
 def test_center_spec_validation():
-    with pytest.raises(ConfigurationError):
+    with pytest.raises(ConfigError):
         CenterSpec(id=1, drf=0.5)
-    with pytest.raises(ConfigurationError):
+    with pytest.raises(ConfigError):
         CenterSpec(id=1, psf_sigma=-1.0)
-    with pytest.raises(ConfigurationError):
+    with pytest.raises(ConfigError):
         CenterSpec(id=1, count_scale=0.0)
-    with pytest.raises(ConfigurationError):
+    with pytest.raises(ConfigError):
         CenterSpec(id=1, phantom="cardiac")
 
 
@@ -191,7 +191,7 @@ def test_build_dataset_is_deterministic():
 
 
 def test_build_dataset_needs_centers():
-    with pytest.raises(ConfigurationError):
+    with pytest.raises(ConfigError):
         build_dataset([], 1, 1)
 
 

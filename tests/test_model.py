@@ -2,6 +2,7 @@
 behavior in closed-form regimes, identity at initialization, gradient
 checks at an active operating point, and the checkpoint format."""
 
+import hashlib
 import math
 import time
 
@@ -10,7 +11,7 @@ import pytest
 
 from _utils import parameter_fd, perturb_parameters, random_volume
 from drmc import tensor as T
-from drmc.errors import ConfigurationError, DimensionError, FormatError
+from drmc.errors import ConfigError, DimensionError, FormatError
 from drmc.model import (
     AttentionExpert,
     DRMCNetwork,
@@ -23,7 +24,6 @@ from drmc.model import (
     clone_network,
     drb_forward,
     fuse,
-    init_parameters,
     load_checkpoint,
     network_forward,
     route,
@@ -73,7 +73,7 @@ def test_top2_gate_support_and_normalization():
 
 
 def test_top2_gate_needs_two_experts():
-    with pytest.raises(ConfigurationError):
+    with pytest.raises(ConfigError):
         _apply_gate(Tensor(np.float32([0.3])), "top2")
 
 
@@ -85,13 +85,12 @@ def test_top2_gradient_flows_only_through_kept_logits():
 
 
 def test_unknown_gate_rejected():
-    with pytest.raises(ConfigurationError):
+    with pytest.raises(ConfigError):
         _apply_gate(Tensor(np.float32([0.0, 0.0])), "top1")
 
 
 def test_no_h_gate_ignores_hidden_state():
-    drm = DynamicRoutingModule(channels=4, hidden=4, n_experts=3)
-    drm._init(np.random.default_rng(1))
+    drm = DynamicRoutingModule(channels=4, hidden=4, n_experts=3, rng=np.random.default_rng(1))
     x = random_volume(np.random.default_rng(2), (4, 4, 4), channels=4)
     h_a = Tensor(np.zeros(4, np.float32))
     h_b = Tensor(np.float32([1.0, -2.0, 0.5, 3.0]))
@@ -120,8 +119,8 @@ def test_relu_gate_produces_exact_zeros_somewhere():
 
 
 class _CountingExpert(FFNExpert):
-    def __init__(self, channels):
-        super().__init__(channels)
+    def __init__(self, channels, rng):
+        super().__init__(channels, rng)
         self.calls = 0
 
     def __call__(self, x):
@@ -130,10 +129,9 @@ class _CountingExpert(FFNExpert):
 
 
 def _counting_bank(channels=4, n_experts=3, seed=5):
-    bank = ExpertBank("ffn", channels, n_experts)
-    bank.experts = [_CountingExpert(channels) for _ in range(n_experts)]
+    bank = ExpertBank("ffn", channels, n_experts, np.random.default_rng(seed))
     rng = np.random.default_rng(seed)
-    bank._init(rng)
+    bank.experts = [_CountingExpert(channels, rng) for _ in range(n_experts)]
     return bank
 
 
@@ -175,7 +173,7 @@ def test_fuse_linearity_with_tied_experts():
 
 def test_fuse_weight_shape_mismatch():
     bank = _counting_bank()
-    with pytest.raises(ConfigurationError):
+    with pytest.raises(ConfigError):
         fuse(bank, random_volume(np.random.default_rng(10), (3, 3, 3), 4), Tensor(np.zeros(2, np.float32)))
 
 
@@ -184,7 +182,8 @@ def test_fuse_weight_shape_mismatch():
 
 
 def test_attention_single_channel_reduces_to_scalar_chain():
-    expert = AttentionExpert(1)
+    expert = AttentionExpert(1, np.random.default_rng(0))
+    expert.local_conv.data = np.zeros_like(expert.local_conv.data)
     expert.v_proj.weight.data = np.float32([[2.0]])
     expert.out_proj.weight.data = np.float32([[3.0]])
     # q/k arbitrary nonzero; 1x1 softmax is always exactly 1
@@ -197,7 +196,8 @@ def test_attention_single_channel_reduces_to_scalar_chain():
 
 def test_attention_zero_temperature_limit_is_uniform_mixture():
     c = 4
-    expert = AttentionExpert(c)
+    expert = AttentionExpert(c, np.random.default_rng(0))
+    expert.local_conv.data = np.zeros_like(expert.local_conv.data)
     eye = np.eye(c, dtype=np.float32)
     expert.q_proj.weight.data = eye.copy()
     expert.k_proj.weight.data = eye.copy()
@@ -211,7 +211,7 @@ def test_attention_zero_temperature_limit_is_uniform_mixture():
 
 
 def test_attention_empty_spatial_extent_errors():
-    expert = AttentionExpert(2)
+    expert = AttentionExpert(2, np.random.default_rng(0))
     with pytest.raises(DimensionError):
         expert(Tensor(np.zeros((2, 0, 0, 0), np.float32)))
 
@@ -219,8 +219,7 @@ def test_attention_empty_spatial_extent_errors():
 def test_attention_cost_scales_linearly_in_voxels():
     # channel attention is S-linear; a quadratic-in-S implementation would
     # slow down ~64x when S grows 8x
-    expert = AttentionExpert(8)
-    expert._init(np.random.default_rng(13))
+    expert = AttentionExpert(8, np.random.default_rng(13))
     rng = np.random.default_rng(14)
     small = random_volume(rng, (8, 8, 8), channels=8)
     big = random_volume(rng, (16, 16, 16), channels=8)
@@ -240,7 +239,8 @@ def test_attention_cost_scales_linearly_in_voxels():
 
 
 def test_ffn_zero_first_layer_gives_zero():
-    expert = FFNExpert(4)  # all parameters start at zero
+    expert = FFNExpert(4, np.random.default_rng(0))
+    expert.w1.weight.data = np.zeros_like(expert.w1.weight.data)  # biases start at zero
     x = random_volume(np.random.default_rng(15), (3, 3, 3), channels=4)
     out = expert(x)
     assert np.array_equal(out.data, np.zeros_like(x.data))
@@ -248,7 +248,7 @@ def test_ffn_zero_first_layer_gives_zero():
 
 def test_ffn_identity_weights_pass_large_positive_input():
     c = 3
-    expert = FFNExpert(c)
+    expert = FFNExpert(c, np.random.default_rng(0))
     expert.w1.weight.data = np.vstack([np.eye(c), np.zeros((c, c))]).astype(np.float32)
     expert.w2.weight.data = np.hstack([np.eye(c), np.zeros((c, c))]).astype(np.float32)
     x = Tensor(np.full((c, 2, 2, 2), 10.0, np.float32))
@@ -261,8 +261,7 @@ def test_ffn_identity_weights_pass_large_positive_input():
 
 
 def test_block_with_suppressed_routers_is_bitwise_identity():
-    block = DynamicRoutingBlock(channels=4, hidden=4, n_experts=2)
-    block._init(np.random.default_rng(16))
+    block = DynamicRoutingBlock(channels=4, hidden=4, n_experts=2, rng=np.random.default_rng(16))
     block.att_router.w_out.bias.data = np.full(2, -5.0, np.float32)
     block.ffn_router.w_out.bias.data = np.full(2, -5.0, np.float32)
     x = random_volume(np.random.default_rng(17), (4, 4, 4), channels=4)
@@ -272,8 +271,7 @@ def test_block_with_suppressed_routers_is_bitwise_identity():
 
 
 def test_single_expert_softmax_weight_is_one():
-    drm = DynamicRoutingModule(channels=4, hidden=4, n_experts=1)
-    drm._init(np.random.default_rng(18))
+    drm = DynamicRoutingModule(channels=4, hidden=4, n_experts=1, rng=np.random.default_rng(18))
     x = random_volume(np.random.default_rng(19), (4, 4, 4), channels=4)
     w, _ = route(drm, x, Tensor(np.zeros(4, np.float32)), gate="softmax")
     assert np.array_equal(w.data, np.float32([1.0]))
@@ -303,7 +301,7 @@ def test_init_determinism_bitwise():
     for (na, pa), (nb, pb) in zip(a.named_parameters(), b.named_parameters()):
         assert na == nb
         assert np.array_equal(pa.data, pb.data)
-    init_parameters(a, 25)
+    a = _small_net(seed=25)
     changed = any(
         not np.array_equal(pa.data, pb.data)
         for (_, pa), (_, pb) in zip(a.named_parameters(), b.named_parameters())
@@ -311,10 +309,33 @@ def test_init_determinism_bitwise():
     assert changed
 
 
+@pytest.mark.parametrize(
+    "config, seed, size, digest",
+    [
+        (ModelConfig(), 0, 109257, "6ca01e63e5eb77e8ad5fd03fb715f074f9a700df66ac094d5b1cf01b78505fd1"),
+        (
+            ModelConfig(gate="top2", channels=8, n_blocks=2, router_hidden=5),
+            3,
+            21525,
+            "b582876d93850bc6d5ca3e99781a6520df8c61260047df4a117768389aa79067",
+        ),
+    ],
+    ids=["default-seed0", "top2-small-seed3"],
+)
+def test_init_draws_are_pinned(tmp_path, config, seed, size, digest):
+    # the saved bytes fix the draw order of every parameter: moving one draw
+    # (or one declaration) changes the digest
+    path = tmp_path / "init.drmc"
+    save_checkpoint(DRMCNetwork(config, seed=seed), path)
+    blob = path.read_bytes()
+    assert len(blob) == size
+    assert hashlib.sha256(blob).hexdigest() == digest
+
+
 def test_invalid_model_config():
-    with pytest.raises(ConfigurationError):
+    with pytest.raises(ConfigError):
         ModelConfig(channels=0)
-    with pytest.raises(ConfigurationError):
+    with pytest.raises(ConfigError):
         ModelConfig(gate="top1")
 
 

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from drmc import tensor as T
 from drmc.errors import (
-    ConfigurationError,
+    ConfigError,
     DimensionError,
     NumericError,
     UsageError,
@@ -135,14 +135,14 @@ def test_conv3d_matches_brute_force():
 def test_conv3d_group_errors():
     x = Tensor(np.zeros((4, 4, 4, 4), np.float32))
     w = Tensor(np.zeros((4, 2, 3, 3, 3), np.float32))
-    with pytest.raises(ConfigurationError):
+    with pytest.raises(ConfigError):
         T.conv3d(x, w, groups=2)  # groups must be 1 or C_in
-    with pytest.raises(ConfigurationError):
+    with pytest.raises(ConfigError):
         T.conv3d(x, Tensor(np.zeros((4, 4, 3, 3, 3), np.float32)), groups=4)
 
 
 def test_conv3d_even_kernel_rejected():
-    with pytest.raises(ConfigurationError):
+    with pytest.raises(ConfigError):
         T.conv3d(
             Tensor(np.zeros((1, 4, 4, 4), np.float32)),
             Tensor(np.zeros((1, 1, 2, 3, 3), np.float32)),
