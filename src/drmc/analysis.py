@@ -67,7 +67,6 @@ class InterferenceMatrix:
     center_ids: list[int]
     parameter_group: str
     n_batches: int
-    lam: float
 
     def text_heatmap(self) -> str:
         ids = self.center_ids
@@ -231,51 +230,36 @@ def _apply_step(group_params, unit_vec: np.ndarray, scale: float):
 def interference_from_gradients(
     center_grads: dict[int, list[np.ndarray]],
     group_label: str,
-    lam: float = 1e-4,
 ) -> InterferenceMatrix:
     """K x K matrix of I(i, j) from one group's per-batch gradient vectors
-    per center (see ``center_gradients``); the diagonal is exactly 1."""
+    per center (see ``center_gradients``).
+
+    With u_c the mean unit gradient of center c, I(i, j) is the mean over
+    center i's batch gradients g of (u_j . g) / (u_i . g): the first-order
+    loss change of a step along u_j relative to one along u_i. The step size
+    cancels, and the diagonal is exactly 1."""
     ids = sorted(center_grads)
-    per_center_grads = {}
-    per_center_units = {}
+    grads, units = {}, {}
     for cid in ids:
-        grads, units = _unit_grads(
+        grads[cid], units[cid] = _unit_grads(
             center_grads[cid], f"group {group_label} for center {cid}"
         )
-        per_center_grads[cid] = grads
-        per_center_units[cid] = units
-
-    k = len(ids)
-    values = np.zeros((k, k), np.float64)
+    mean_units = np.stack([np.mean(units[cid], axis=0) for cid in ids])
+    values = np.zeros((len(ids), len(ids)), np.float64)
     for a, ci in enumerate(ids):
-        grads_i = per_center_grads[ci]
-        # denominator: center i's own step, same batch set as the numerator
-        denom = [
-            lam * float(np.mean([u @ g for u in per_center_units[ci]]))
-            for g in grads_i
-        ]
-        for b, cj in enumerate(ids):
-            if ci == cj:
-                values[a, b] = 1.0
-                continue
-            num = [
-                lam * float(np.mean([u @ g for u in per_center_units[cj]]))
-                for g in grads_i
-            ]
-            ratios = [n / d for n, d in zip(num, denom) if d != 0.0]
-            if not ratios:
-                raise NumericError(
-                    f"interference denominator vanished for center {ci} "
-                    f"on group {group_label}"
-                )
-            values[a, b] = float(np.mean(ratios))
-    n_batches = min(len(v) for v in per_center_grads.values())
+        proj = np.stack(grads[ci]) @ mean_units.T  # batches x centers
+        proj = proj[proj[:, a] != 0.0]
+        if not len(proj):
+            raise NumericError(
+                f"interference denominator vanished for center {ci} "
+                f"on group {group_label}"
+            )
+        values[a] = np.mean(proj / proj[:, a : a + 1], axis=0)
     return InterferenceMatrix(
         values=values.astype(np.float32),
         center_ids=ids,
         parameter_group=group_label,
-        n_batches=n_batches,
-        lam=lam,
+        n_batches=min(len(grads[cid]) for cid in ids),
     )
 
 
@@ -284,7 +268,6 @@ def interference(
     center_batches: dict[int, list],
     group: Sequence[str],
     group_label: str = "",
-    lam: float = 1e-4,
     charb_eps: float = 1e-3,
     loss_fn=None,
 ) -> InterferenceMatrix:
@@ -292,7 +275,7 @@ def interference(
     batch sets per center; the diagonal is exactly 1."""
     label = _group_label(group, group_label)
     grads = center_gradients(net, center_batches, {label: group}, charb_eps, loss_fn)
-    return interference_from_gradients(grads[label], label, lam)
+    return interference_from_gradients(grads[label], label)
 
 
 # ---------------------------------------------------------------------------

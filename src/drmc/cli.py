@@ -203,9 +203,7 @@ def cmd_interference(cfg: RunConfig, checkpoint=None) -> int:
     gated_off = []
     for label, center_grads in grads.items():
         try:
-            mat = analysis.interference_from_gradients(
-                center_grads, label, lam=cfg.analysis.lam
-            )
+            mat = analysis.interference_from_gradients(center_grads, label)
         except NumericError as e:
             gated_off.append(str(e))
             continue

@@ -29,7 +29,6 @@ class DataSection:
 
 @dataclass
 class AnalysisSection:
-    lam: float = 1e-4
     n_batches: int = 20
     batch_size: int = 2
     groups: str = "per_block"
@@ -107,6 +106,9 @@ def _center_specs(value, path: str):
 
 
 def _validate(cfg: RunConfig):
+    for key, low in (("seed", 0), ("n_train", 1), ("n_test", 1)):
+        if getattr(cfg.data, key) < low:
+            raise ConfigError(f"data.{key} must be >= {low}, got {getattr(cfg.data, key)}")
     if len(cfg.data.shape) != 3 or any(s < 16 for s in cfg.data.shape):
         raise ConfigError(f"data.shape must be 3 dims each >= 16, got {cfg.data.shape}")
     if cfg.train.patch_size > min(cfg.data.shape):
@@ -116,8 +118,6 @@ def _validate(cfg: RunConfig):
             raise ConfigError(
                 f"analysis.{key} must be >= 1, got {getattr(cfg.analysis, key)}"
             )
-    if not cfg.analysis.lam > 0:
-        raise ConfigError(f"analysis.lam must be > 0, got {cfg.analysis.lam}")
     if cfg.analysis.groups not in ("per_block", "all"):
         raise ConfigError(
             f"analysis.groups must be 'per_block' or 'all', got {cfg.analysis.groups!r}"

@@ -156,13 +156,10 @@ def _apply_gate(logits: Tensor, gate: str) -> Tensor:
     if gate == "top2":
         if m < 2:
             raise ConfigError("top2 gate requires at least 2 experts")
-        keep = np.argsort(logits.data)[-2:]
-        sel = np.zeros((2, m), np.float32)
-        sel[np.arange(2), keep] = 1.0
-        sel_t = Tensor(sel)
-        kept = T.matmul(sel_t, T.reshape(logits, (m, 1)))
-        sm = T.softmax(kept, axis=0)
-        return T.reshape(T.matmul(_transpose(sel_t), sm), (m,))
+        # softmax over the two largest logits; the rest get exactly zero
+        mask = np.full(m, -np.inf, logits.data.dtype)
+        mask[np.argsort(logits.data)[-2:]] = 0.0
+        return T.softmax(T.add(logits, Tensor(mask)), axis=0)
     raise ConfigError(f"unknown gate kind {gate!r}, allowed: {GATE_KINDS}")
 
 

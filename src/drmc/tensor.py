@@ -284,15 +284,11 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _node(np.matmul(a.data, b.data), (a, b), rule)
 
 
-def _conv_slices(off: int, stride: int, out_len: int):
-    return slice(off, off + (out_len - 1) * stride + 1, stride)
-
-
 def conv3d(
     x: Tensor,
     weight: Tensor,
     bias: Optional[Tensor] = None,
-    stride: int = 1,
+    *,
     padding: int = 0,
     groups: int = 1,
 ) -> Tensor:
@@ -322,9 +318,7 @@ def conv3d(
     pad = padding
     xp = np.pad(x.data, ((0, 0), (pad, pad), (pad, pad), (pad, pad)))
     _, dp, hp, wp = xp.shape
-    do = (dp - kd) // stride + 1
-    ho = (hp - kh) // stride + 1
-    wo = (wp - kw) // stride + 1
+    do, ho, wo = dp - kd + 1, hp - kh + 1, wp - kw + 1
     if min(do, ho, wo) < 1:
         raise DimensionError(
             f"conv3d output would be empty for input {x.shape}, "
@@ -332,44 +326,38 @@ def conv3d(
         )
 
     out_data = np.zeros((c_out, do, ho, wo), dtype=np.result_type(x.data, weight.data))
-    for dz in range(kd):
-        sz = _conv_slices(dz, stride, do)
-        for dy in range(kh):
-            sy = _conv_slices(dy, stride, ho)
-            for dx in range(kw):
-                sx = _conv_slices(dx, stride, wo)
-                patch = xp[:, sz, sy, sx]
-                w_off = weight.data[:, :, dz, dy, dx]
-                if depthwise:
-                    out_data += w_off.reshape(c_out, 1, 1, 1) * patch
-                else:
-                    out_data += np.tensordot(w_off, patch, axes=([1], [0]))
+
+    def taps():
+        """Per kernel offset, in nested-loop order: the offset, the window of
+        the padded input it reads, and its weight slice."""
+        for dz, dy, dx in np.ndindex(kd, kh, kw):
+            win = (slice(None), slice(dz, dz + do), slice(dy, dy + ho), slice(dx, dx + wo))
+            yield (dz, dy, dx), win, weight.data[:, :, dz, dy, dx]
+
+    for _, win, w_off in taps():
+        patch = xp[win]
+        if depthwise:
+            out_data += w_off.reshape(c_out, 1, 1, 1) * patch
+        else:
+            out_data += np.tensordot(w_off, patch, axes=([1], [0]))
     if bias is not None:
         out_data = out_data + bias.data.reshape(c_out, 1, 1, 1)
 
     def rule(g, grads):
         gxp = np.zeros_like(xp)
         gw = np.zeros_like(weight.data)
-        for dz in range(kd):
-            sz = _conv_slices(dz, stride, do)
-            for dy in range(kh):
-                sy = _conv_slices(dy, stride, ho)
-                for dx in range(kw):
-                    sx = _conv_slices(dx, stride, wo)
-                    patch = xp[:, sz, sy, sx]
-                    w_off = weight.data[:, :, dz, dy, dx]
-                    if depthwise:
-                        gxp[:, sz, sy, sx] += w_off.reshape(c_out, 1, 1, 1) * g
-                        gw[:, 0, dz, dy, dx] += (g * patch).sum(axis=(1, 2, 3))
-                    else:
-                        gxp[:, sz, sy, sx] += np.tensordot(
-                            w_off.T, g, axes=([1], [0])
-                        )
-                        gw[:, :, dz, dy, dx] += np.tensordot(
-                            g.reshape(c_out, -1),
-                            patch.reshape(c_in, -1).T,
-                            axes=([1], [0]),
-                        )
+        for (dz, dy, dx), win, w_off in taps():
+            patch = xp[win]
+            if depthwise:
+                gxp[win] += w_off.reshape(c_out, 1, 1, 1) * g
+                gw[:, 0, dz, dy, dx] += (g * patch).sum(axis=(1, 2, 3))
+            else:
+                gxp[win] += np.tensordot(w_off.T, g, axes=([1], [0]))
+                gw[:, :, dz, dy, dx] += np.tensordot(
+                    g.reshape(c_out, -1),
+                    patch.reshape(c_in, -1).T,
+                    axes=([1], [0]),
+                )
         if pad:
             gx = gxp[:, pad:-pad, pad:-pad, pad:-pad]
         else:

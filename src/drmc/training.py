@@ -44,7 +44,7 @@ class TrainConfig:
         for key in positive:
             if not getattr(self, key) > 0:
                 raise UsageError(f"{key} must be > 0, got {getattr(self, key)}")
-        for key in ("lr", "checkpoint_every"):
+        for key in ("lr", "checkpoint_every", "seed"):
             if not getattr(self, key) >= 0:
                 raise UsageError(f"{key} must be >= 0, got {getattr(self, key)}")
 

@@ -257,7 +257,7 @@ def test_c05_interference_metric():
 
     center_batches = {1: [batch(), batch()], 2: [batch(), batch()]}
     groups = parameter_groups(net)
-    mat = interference(net, center_batches, groups["block0_ffn"], lam=1e-4)
+    mat = interference(net, center_batches, groups["block0_ffn"])
     assert mat.values[0, 0] == 1.0 and mat.values[1, 1] == 1.0
 
     # opposed-gradient two-task objective: I(1,2) < 0
@@ -276,7 +276,7 @@ def test_c05_interference_metric():
         return T.scale(out, -1.0) if b == 2 else out
 
     toy = Toy()
-    toy_mat = interference(toy, {1: [1], 2: [2]}, ["w"], lam=1e-4, loss_fn=loss_fn)
+    toy_mat = interference(toy, {1: [1], 2: [2]}, ["w"], loss_fn=loss_fn)
     assert toy_mat.values[0, 1] < 0
 
     # first-order vs exact agreement within 10% at lambda = 1e-4, on the
@@ -314,7 +314,7 @@ def test_c06_interference_existence(desk_dataset):
         warnings.simplefilter("ignore")  # zero-norm batch skips are expected
         for label, center_grads in grads.items():
             try:
-                mat = interference_from_gradients(center_grads, label, lam=1e-4)
+                mat = interference_from_gradients(center_grads, label)
             except NumericError:
                 # a relu-gated bank can end up never selected for a center,
                 # leaving that group with no gradient signal to measure

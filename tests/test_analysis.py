@@ -202,7 +202,7 @@ def test_interference_diagonal_exactly_one():
         2: _quadratic_loss([0.1, 1.0], [0.0, 1.0]),
     }
     mat = interference(
-        toy, {1: [1], 2: [2]}, ["w"], lam=1e-4, loss_fn=_dispatching_loss(per_task)
+        toy, {1: [1], 2: [2]}, ["w"], loss_fn=_dispatching_loss(per_task)
     )
     assert mat.values[0, 0] == 1.0
     assert mat.values[1, 1] == 1.0
@@ -217,7 +217,7 @@ def test_interference_opposed_gradients_are_negative():
         return T.scale(base(net, batch, eps), -1.0)
 
     loss_fn = _dispatching_loss({1: base, 2: opposed})
-    mat = interference(toy, {1: [1], 2: [2]}, ["w"], lam=1e-4, loss_fn=loss_fn)
+    mat = interference(toy, {1: [1], 2: [2]}, ["w"], loss_fn=loss_fn)
     assert mat.values[0, 1] == pytest.approx(-1.0, abs=1e-5)
     assert mat.values[0, 1] < 0
     assert mat.values[1, 0] < 0
@@ -231,10 +231,21 @@ def test_interference_heatmap_mentions_centers_and_group():
     }
     mat = interference(
         toy, {1: [1], 2: [2]}, ["w"], group_label="toy",
-        lam=1e-4, loss_fn=_dispatching_loss(per_task),
+        loss_fn=_dispatching_loss(per_task),
     )
     text = mat.text_heatmap()
     assert "C1" in text and "C2" in text and "toy" in text
+
+
+def test_interference_is_mean_of_per_batch_ratios():
+    # u_1 = (0.5, 0.5), u_2 = (1, 0): center 1's batches give the ratios
+    # 1/0.5 and 0/1, so I(1,2) = 1 (a ratio of means would give 2/3)
+    grads = {
+        1: [np.array([1.0, 0.0]), np.array([0.0, 2.0])],
+        2: [np.array([1.0, 0.0])],
+    }
+    mat = interference_from_gradients(grads, "toy")
+    assert np.array_equal(mat.values, np.float32([[1.0, 1.0], [0.5, 1.0]]))
 
 
 def test_shared_gradients_match_per_group_interference():

@@ -103,11 +103,16 @@ def test_config_int_widens_to_float():
         ("analysis:\n  n_batches: 0\n", "analysis.n_batches"),
         ("analysis:\n  batch_size: 0\n", "analysis.batch_size"),
         ("analysis:\n  lam: 0\n", "analysis.lam"),
+        ("data:\n  seed: -1\n", "data.seed"),
+        ("data:\n  n_train: -3\n  n_test: 4\n", "data.n_train"),
+        ("data:\n  n_test: 0\n", "data.n_test"),
+        ("train:\n  seed: -1\n", "train.seed"),
     ],
     ids=[
         "center-unknown-key", "center-missing-id", "center-range", "center-bool",
         "center-not-mapping", "centers-not-list", "n_batches-zero", "batch_size-zero",
-        "lam-zero",
+        "lam-removed", "data-seed-negative", "n_train-negative", "n_test-zero",
+        "train-seed-negative",
     ],
 )
 def test_config_center_entries_and_analysis_ranges(text, key):
@@ -150,7 +155,8 @@ def test_emitted_config_is_fully_resolved():
     raw = yaml.safe_load(emit_config(RunConfig()))
     assert set(raw) == {"data", "model", "train", "analysis", "io"}
     assert raw["train"]["lr"] == 1e-4
-    assert raw["analysis"]["lam"] == 1e-4
+    assert "lam" not in raw["analysis"]
+    assert raw["analysis"]["n_batches"] == 20
 
 
 # ---------------------------------------------------------------------------
@@ -233,6 +239,15 @@ def test_dispatch_bad_center_entry_exits_1(tmp_path, capsys):
     assert dispatch(["gen-data", "--config", str(cfg_path), "--out", str(tmp_path)]) == 1
     err = capsys.readouterr().err
     assert "error:" in err and "data.centers[0].foo" in err
+    assert not (tmp_path / "data").exists()
+
+
+def test_dispatch_negative_data_seed_exits_1(tmp_path, capsys):
+    cfg_path = tmp_path / "config.yaml"
+    cfg_path.write_text("data:\n  seed: -1\n")
+    assert dispatch(["gen-data", "--config", str(cfg_path), "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert "error:" in err and "data.seed" in err
     assert not (tmp_path / "data").exists()
 
 

@@ -141,6 +141,13 @@ def test_conv3d_group_errors():
         T.conv3d(x, Tensor(np.zeros((4, 4, 3, 3, 3), np.float32)), groups=4)
 
 
+def test_conv3d_padding_and_groups_are_keyword_only():
+    x = Tensor(np.zeros((4, 4, 4, 4), np.float32))
+    w = Tensor(np.zeros((4, 1, 3, 3, 3), np.float32))
+    with pytest.raises(TypeError):
+        T.conv3d(x, w, None, 1, 4)
+
+
 def test_conv3d_even_kernel_rejected():
     with pytest.raises(ConfigError):
         T.conv3d(
