@@ -10,6 +10,7 @@ pull shared parameters in conflicting directions.
 from __future__ import annotations
 
 import math
+import os
 import warnings
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
@@ -115,7 +116,11 @@ def batch_loss(net: DRMCNetwork, batch, charb_eps: float) -> Tensor:
 
 
 def _group_label(group: Sequence[str], group_label: str = "") -> str:
-    return group_label or "+".join(sorted(set(group))[:1])
+    """``group_label``, or else the dotted prefix that every name in the group
+    shares, or ``all`` when they share none."""
+    if group_label:
+        return group_label
+    return ".".join(os.path.commonprefix([name.split(".") for name in group])) or "all"
 
 
 def _batch_grads(net, batch, group_params, charb_eps, loss_fn=None) -> list[np.ndarray]:

@@ -1,8 +1,8 @@
 """Command-line surface tying the pipeline together.
 
-Subcommands: gen-data, train, eval, interference, route-hist, ablate.
-Every subcommand is a pure function of (config, input files): outputs land
-in the configured directory together with an echo of the resolved config.
+The subcommands are the entries of ``COMMANDS``. Each is a pure function of
+(config, input files): outputs land in the configured directory together
+with an echo of the resolved config.
 Exit codes: 0 success, 1 runtime failure, 2 usage error.
 """
 
@@ -19,13 +19,7 @@ import yaml
 
 from . import analysis, training, volio
 from .config import RunConfig, parse_config, write_resolved_config
-from .data import (
-    CenterSpec,
-    SampleRecord,
-    build_dataset,
-    default_known_centers,
-    default_unknown_centers,
-)
+from .data import SampleRecord, build_dataset
 from .errors import DrmcError, NumericError, UsageError
 from .model import DRMCNetwork, load_checkpoint, save_checkpoint
 
@@ -46,16 +40,6 @@ def _write_csv(path, header, rows):
             w.writerow([_fmt(v) for v in row])
 
 
-def _centers_from(cfg: RunConfig) -> tuple[list[CenterSpec], list[CenterSpec]]:
-    known = default_known_centers() if cfg.data.centers == "default" else cfg.data.centers
-    unknown = (
-        default_unknown_centers()
-        if cfg.data.unknown_centers == "default"
-        else cfg.data.unknown_centers
-    )
-    return known, unknown
-
-
 def _data_dir(cfg: RunConfig) -> Path:
     return Path(cfg.io.out_dir) / "data"
 
@@ -64,8 +48,8 @@ def _data_dir(cfg: RunConfig) -> Path:
 # dataset on disk
 
 
-def cmd_gen_data(cfg: RunConfig) -> int:
-    known, unknown = _centers_from(cfg)
+def cmd_gen_data(cfg: RunConfig):
+    known, unknown = cfg.data.centers, cfg.data.unknown_centers
     shape = tuple(cfg.data.shape)
     data_dir = _data_dir(cfg)
     data_dir.mkdir(parents=True, exist_ok=True)
@@ -102,10 +86,8 @@ def cmd_gen_data(cfg: RunConfig) -> int:
             yaml.safe_dump({"center": asdict(center), "counts": counters})
         )
     (data_dir / "manifest.yaml").write_text(yaml.safe_dump(manifest, sort_keys=False))
-    write_resolved_config(cfg, cfg.io.out_dir)
     print(f"wrote dataset for {len(known)} known + {len(unknown)} unknown centers "
           f"to {data_dir}")
-    return 0
 
 
 def load_records(data_dir) -> tuple[list[SampleRecord], list[int], list[int]]:
@@ -136,7 +118,7 @@ def load_records(data_dir) -> tuple[list[SampleRecord], list[int], list[int]]:
 # subcommands
 
 
-def cmd_train(cfg: RunConfig) -> int:
+def cmd_train(cfg: RunConfig):
     records, known_ids, _ = load_records(_data_dir(cfg))
     known_records = [r for r in records if r.center_id in known_ids]
     tcfg = cfg.train
@@ -156,14 +138,12 @@ def cmd_train(cfg: RunConfig) -> int:
         ["epoch", "center_id", "train_loss", "val_psnr"],
         [[h.epoch, h.center_id, h.train_loss, h.val_psnr] for h in history],
     )
-    write_resolved_config(cfg, cfg.io.out_dir)
     final = {h.center_id: h.val_psnr for h in history if h.epoch == history[-1].epoch}
     print(f"trained {tcfg.epochs} epochs; final val PSNR per center: "
           + ", ".join(f"C{c}={v:.2f}" for c, v in sorted(final.items())))
-    return 0
 
 
-def cmd_eval(cfg: RunConfig, checkpoint=None) -> int:
+def cmd_eval(cfg: RunConfig, checkpoint=None):
     records, _, _ = load_records(_data_dir(cfg))
     out = Path(cfg.io.out_dir)
     ckpt = Path(checkpoint) if checkpoint else out / "checkpoint.drmc"
@@ -178,12 +158,10 @@ def cmd_eval(cfg: RunConfig, checkpoint=None) -> int:
             for r in rows
         ],
     )
-    write_resolved_config(cfg, cfg.io.out_dir)
     print(f"wrote metrics for {len(rows)} records to {out / 'metrics.csv'}")
-    return 0
 
 
-def cmd_interference(cfg: RunConfig, checkpoint=None) -> int:
+def cmd_interference(cfg: RunConfig, checkpoint=None):
     records, known_ids, _ = load_records(_data_dir(cfg))
     out = Path(cfg.io.out_dir)
     ckpt = Path(checkpoint) if checkpoint else out / "checkpoint.drmc"
@@ -217,11 +195,9 @@ def cmd_interference(cfg: RunConfig, checkpoint=None) -> int:
         print(f"wrote {path}")
     if gated_off:
         raise NumericError("; ".join(gated_off))
-    write_resolved_config(cfg, cfg.io.out_dir)
-    return 0
 
 
-def cmd_route_hist(cfg: RunConfig, checkpoint=None) -> int:
+def cmd_route_hist(cfg: RunConfig, checkpoint=None):
     records, _, _ = load_records(_data_dir(cfg))
     out = Path(cfg.io.out_dir)
     ckpt = Path(checkpoint) if checkpoint else out / "checkpoint.drmc"
@@ -233,15 +209,13 @@ def cmd_route_hist(cfg: RunConfig, checkpoint=None) -> int:
         for (layer, bank, center, expert), count in sorted(hist.counts.items())
     ]
     _write_csv(out / "route_hist.csv", ["layer", "bank", "center", "expert", "count"], rows)
-    write_resolved_config(cfg, cfg.io.out_dir)
     print(f"wrote routing histogram ({len(rows)} rows) to {out / 'route_hist.csv'}")
-    return 0
 
 
 ABLATION_VARIANTS = ("no_h", "softmax", "top2", "relu")
 
 
-def cmd_ablate(cfg: RunConfig) -> int:
+def cmd_ablate(cfg: RunConfig):
     records, known_ids, _ = load_records(_data_dir(cfg))
     known_records = [r for r in records if r.center_id in known_ids]
     test_records = [r for r in records if r.split == "test"]
@@ -268,12 +242,21 @@ def cmd_ablate(cfg: RunConfig) -> int:
         ["variant"] + [f"psnr_c{c}" for c in test_ids] + ["psnr_avg"],
         rows,
     )
-    write_resolved_config(cfg, cfg.io.out_dir)
-    return 0
 
 
 # ---------------------------------------------------------------------------
 # dispatch
+
+
+COMMANDS = {
+    "gen-data": cmd_gen_data,
+    "train": cmd_train,
+    "eval": cmd_eval,
+    "interference": cmd_interference,
+    "route-hist": cmd_route_hist,
+    "ablate": cmd_ablate,
+}
+TAKES_CHECKPOINT = (cmd_eval, cmd_interference, cmd_route_hist)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -282,16 +265,18 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Multi-center volumetric synthesis with dynamic expert routing",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("gen-data", "train", "eval", "interference", "route-hist", "ablate"):
+    for name, command in COMMANDS.items():
         p = sub.add_parser(name)
         p.add_argument("--config", default=None, help="YAML run config path")
         p.add_argument("--out", default=None, help="override io.out_dir")
-        if name in ("eval", "interference", "route-hist"):
+        if command in TAKES_CHECKPOINT:
             p.add_argument("--checkpoint", default=None)
     return parser
 
 
 def dispatch(argv) -> int:
+    """Run one subcommand; the resolved config is echoed only after it
+    succeeds."""
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
@@ -301,25 +286,16 @@ def dispatch(argv) -> int:
         cfg = parse_config(args.config) if args.config else RunConfig()
         if args.out:
             cfg.io.out_dir = args.out
-        if args.command == "gen-data":
-            return cmd_gen_data(cfg)
-        if args.command == "train":
-            return cmd_train(cfg)
-        if args.command == "eval":
-            return cmd_eval(cfg, args.checkpoint)
-        if args.command == "interference":
-            return cmd_interference(cfg, args.checkpoint)
-        if args.command == "route-hist":
-            return cmd_route_hist(cfg, args.checkpoint)
-        if args.command == "ablate":
-            return cmd_ablate(cfg)
-        raise UsageError(f"unknown subcommand {args.command}")
-    except DrmcError as e:
+        command = COMMANDS[args.command]
+        if command in TAKES_CHECKPOINT:
+            command(cfg, args.checkpoint)
+        else:
+            command(cfg)
+        write_resolved_config(cfg, cfg.io.out_dir)
+    except (DrmcError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
-    except OSError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
+    return 0
 
 
 def main() -> int:

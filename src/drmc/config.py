@@ -5,13 +5,13 @@ every default explicitly so a resolved echo can be written next to outputs.
 
 from __future__ import annotations
 
-from dataclasses import MISSING, asdict, dataclass, field, fields
+from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
 from pathlib import Path
 from typing import Union, get_args, get_origin, get_type_hints
 
 import yaml
 
-from .data import CenterSpec
+from .data import CenterSpec, default_known_centers, default_unknown_centers
 from .errors import ConfigError, DrmcError
 from .model import ModelConfig
 from .training import TrainConfig
@@ -19,12 +19,20 @@ from .training import TrainConfig
 
 @dataclass
 class DataSection:
-    centers: object = "default"  # "default" or a list of CenterSpec
-    unknown_centers: object = "default"
+    centers: list[CenterSpec] = field(default_factory=default_known_centers)
+    unknown_centers: list[CenterSpec] = field(default_factory=default_unknown_centers)
     shape: list[int] = field(default_factory=lambda: [24, 24, 24])
     n_train: int = 8
     n_test: int = 4
     seed: int = 0
+
+    def __post_init__(self):
+        # messages name the field first: config parsing prefixes the section
+        for key, low in (("seed", 0), ("n_train", 1), ("n_test", 1)):
+            if getattr(self, key) < low:
+                raise ConfigError(f"{key} must be >= {low}, got {getattr(self, key)}")
+        if len(self.shape) != 3 or any(s < 16 for s in self.shape):
+            raise ConfigError(f"shape must be 3 dims each >= 16, got {self.shape}")
 
 
 @dataclass
@@ -32,6 +40,13 @@ class AnalysisSection:
     n_batches: int = 20
     batch_size: int = 2
     groups: str = "per_block"
+
+    def __post_init__(self):
+        for key in ("n_batches", "batch_size"):
+            if getattr(self, key) < 1:
+                raise ConfigError(f"{key} must be >= 1, got {getattr(self, key)}")
+        if self.groups not in ("per_block", "all"):
+            raise ConfigError(f"groups must be 'per_block' or 'all', got {self.groups!r}")
 
 
 @dataclass
@@ -55,9 +70,9 @@ def _check_type(value, hint, where: str):
     """``value`` as the annotation ``hint`` asks for: an int field takes an
     int (not a bool), a float field an int or a float (stored as float), a
     bool field a bool, ``Optional[X]`` also null, ``list[X]`` a list of X,
-    ``object`` anything."""
-    if hint is object:
-        return value
+    a dataclass field a mapping of its fields."""
+    if is_dataclass(hint):
+        return _fill_section(hint, value, where)
     if get_origin(hint) is Union:
         if value is None:
             return None
@@ -95,35 +110,6 @@ def _fill_section(cls, raw, path: str):
         raise ConfigError(f"{path}.{e}") from None
 
 
-def _center_specs(value, path: str):
-    """``"default"`` as is, or each entry of a list of center mappings parsed
-    into a ``CenterSpec``."""
-    if value == "default":
-        return value
-    if not isinstance(value, list):
-        raise ConfigError(f"{path} must be 'default' or a list of centers, got {value!r}")
-    return [_fill_section(CenterSpec, d, f"{path}[{i}]") for i, d in enumerate(value)]
-
-
-def _validate(cfg: RunConfig):
-    for key, low in (("seed", 0), ("n_train", 1), ("n_test", 1)):
-        if getattr(cfg.data, key) < low:
-            raise ConfigError(f"data.{key} must be >= {low}, got {getattr(cfg.data, key)}")
-    if len(cfg.data.shape) != 3 or any(s < 16 for s in cfg.data.shape):
-        raise ConfigError(f"data.shape must be 3 dims each >= 16, got {cfg.data.shape}")
-    if cfg.train.patch_size > min(cfg.data.shape):
-        raise ConfigError("train.patch_size exceeds data.shape")
-    for key in ("n_batches", "batch_size"):
-        if getattr(cfg.analysis, key) < 1:
-            raise ConfigError(
-                f"analysis.{key} must be >= 1, got {getattr(cfg.analysis, key)}"
-            )
-    if cfg.analysis.groups not in ("per_block", "all"):
-        raise ConfigError(
-            f"analysis.groups must be 'per_block' or 'all', got {cfg.analysis.groups!r}"
-        )
-
-
 def parse_config_text(text: str, source: str = "<string>") -> RunConfig:
     try:
         raw = yaml.safe_load(text)
@@ -143,9 +129,8 @@ def parse_config_text(text: str, source: str = "<string>") -> RunConfig:
             continue
         kwargs[key] = _fill_section(_SECTIONS[key], value, key)
     cfg = RunConfig(**kwargs)
-    cfg.data.centers = _center_specs(cfg.data.centers, "data.centers")
-    cfg.data.unknown_centers = _center_specs(cfg.data.unknown_centers, "data.unknown_centers")
-    _validate(cfg)
+    if cfg.train.patch_size > min(cfg.data.shape):
+        raise ConfigError("train.patch_size exceeds data.shape")
     return cfg
 
 

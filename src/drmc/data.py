@@ -52,7 +52,6 @@ class CenterSpec:
 class Phantom:
     full: Tensor  # [1, D, H, W], nonnegative
     lesion_mask: np.ndarray  # bool, [D, H, W]
-    meta: dict
 
 
 @dataclass
@@ -93,16 +92,12 @@ def generate_phantom(
         axis_lo, axis_hi = 0.15, 0.40
         intens_lo, intens_hi = 0.2, 1.0
 
-    ellipsoids = []
     for _ in range(n_ellipsoids):
         center = rng.uniform(0.2, 0.8, 3) * shape
         axes = rng.uniform(axis_lo, axis_hi, 3) * shape
         amp = rng.uniform(intens_lo, intens_hi)
         r2 = sum(((grid[k] - center[k]) / axes[k]) ** 2 for k in range(3))
         vol += amp * np.maximum(0.0, 1.0 - r2)
-        ellipsoids.append(
-            {"center": center.tolist(), "axes": axes.tolist(), "amp": float(amp), "kind": "bg"}
-        )
 
     for _ in range(n_lesions):
         center = rng.uniform(0.3, 0.7, 3) * shape
@@ -115,12 +110,9 @@ def generate_phantom(
         lesion_region = r2 <= 1.0
         lesion_region[cidx] = True  # at least the center voxel
         mask |= lesion_region
-        ellipsoids.append(
-            {"center": center.tolist(), "axes": axes.tolist(), "amp": float(amp), "kind": "lesion"}
-        )
 
     full = Tensor(vol[np.newaxis].astype(np.float32))
-    return Phantom(full=full, lesion_mask=mask, meta={"seed": seed, "ellipsoids": ellipsoids})
+    return Phantom(full=full, lesion_mask=mask)
 
 
 def degrade(full: Tensor, c: CenterSpec, seed: int) -> Tensor:

@@ -70,20 +70,6 @@ class Tensor:
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
-    # Convenience arithmetic; the full op set lives at module level.
-    def __add__(self, other):
-        return add(self, other if isinstance(other, Tensor) else Tensor(other))
-
-    def __sub__(self, other):
-        return sub(self, other if isinstance(other, Tensor) else Tensor(other))
-
-    def __mul__(self, other):
-        if isinstance(other, (int, float)):
-            return scale(self, float(other))
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
     def backward(self):
         """Reverse-mode sweep from a scalar tensor.
 
@@ -120,9 +106,6 @@ class Tensor:
             if t._backward_rule is not None:
                 t._backward_rule(g, grads)
 
-    def reshape(self, shape) -> "Tensor":
-        return reshape(self, shape)
-
 
 def _accum(grads: dict, t: Tensor, g: np.ndarray):
     # Rebinding (never in-place mutation) keeps accumulation safe for views.
@@ -143,13 +126,12 @@ def _node(data: np.ndarray, parents: Sequence[Tensor], rule) -> Tensor:
     out = Tensor.__new__(Tensor)
     out.data = data
     out.grad = None
+    out.requires_grad = False
     out._id = next(_ids)
     if _needs_graph(*parents):
-        out.requires_grad = False
         out._parents = tuple(parents)
         out._backward_rule = rule
     else:
-        out.requires_grad = False
         out._parents = ()
         out._backward_rule = None
     return out

@@ -10,7 +10,7 @@ kept around so interference diagnostics can inspect them before averaging.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -310,8 +310,7 @@ def sample_center_batches(
     """Fixed per-center batch sets for interference measurement, drawn from
     the train split."""
     rng = np.random.default_rng(seed)
-    tmp_cfg_patches = n_batches * cfg.batch_per_center
-    pool_cfg = TrainConfig(**{**vars(cfg), "patches_per_center": tmp_cfg_patches})
+    pool_cfg = replace(cfg, patches_per_center=n_batches * cfg.batch_per_center)
     pools = extract_patch_pools(records, pool_cfg, rng)
     return {
         cid: [

@@ -285,6 +285,21 @@ def test_zero_gradient_group_is_named():
             interference(toy, {1: [1], 2: [2]}, ["w"], group_label="toy", loss_fn=loss_fn)
 
 
+def test_interference_labels_group_by_shared_prefix():
+    net = DRMCNetwork(ModelConfig(channels=4, n_experts=2, n_blocks=1, gate="softmax"), seed=0)
+    perturb_parameters(net, seed=1)  # the zero tail conv would leave every gradient zero
+    rng = np.random.default_rng(2)
+    batches = {
+        c: [[(rng.uniform(0, 1, (1, 6, 6, 6)).astype(np.float32),
+              rng.uniform(0, 1, (1, 6, 6, 6)).astype(np.float32))]]
+        for c in (1, 2)
+    }
+    ffn = interference(net, batches, parameter_groups(net)["block0_ffn"])
+    assert ffn.parameter_group == "blocks.0.ffn_bank.experts"
+    every = interference(net, batches, [n for n, _ in net.named_parameters()])
+    assert every.parameter_group == "all"
+
+
 def test_parameter_groups_cover_all_banks():
     net = DRMCNetwork(ModelConfig(channels=4, n_experts=2, n_blocks=2), seed=0)
     groups = parameter_groups(net)

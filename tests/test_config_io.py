@@ -100,6 +100,7 @@ def test_config_int_widens_to_float():
         ("data:\n  unknown_centers: [{id: 5, lesions: 1}]\n", "data.unknown_centers[0].lesions"),
         ("data:\n  unknown_centers: [5]\n", "data.unknown_centers[0]"),
         ("data:\n  centers: body\n", "data.centers"),
+        ("data:\n  centers: default\n", "data.centers"),
         ("analysis:\n  n_batches: 0\n", "analysis.n_batches"),
         ("analysis:\n  batch_size: 0\n", "analysis.batch_size"),
         ("analysis:\n  lam: 0\n", "analysis.lam"),
@@ -110,7 +111,7 @@ def test_config_int_widens_to_float():
     ],
     ids=[
         "center-unknown-key", "center-missing-id", "center-range", "center-bool",
-        "center-not-mapping", "centers-not-list", "n_batches-zero", "batch_size-zero",
+        "center-not-mapping", "centers-not-list", "centers-default-string", "n_batches-zero", "batch_size-zero",
         "lam-removed", "data-seed-negative", "n_train-negative", "n_test-zero",
         "train-seed-negative",
     ],
@@ -127,6 +128,15 @@ def test_config_center_entries_parse_to_specs():
     )
     assert cfg.data.centers == [CenterSpec(id=7, drf=4.0, lesions=False)]
     assert cfg.data.unknown_centers == []
+    assert parse_config_text(emit_config(cfg)) == cfg
+
+
+def test_default_centers_echo_their_recipes():
+    cfg = RunConfig()
+    raw = yaml.safe_load(emit_config(cfg))
+    assert [c["id"] for c in raw["data"]["centers"]] == [1, 2, 3, 4]
+    assert [c["id"] for c in raw["data"]["unknown_centers"]] == [5, 6]
+    assert set(raw["data"]["centers"][0]) == set(vars(CenterSpec(id=1)))
     assert parse_config_text(emit_config(cfg)) == cfg
 
 
@@ -240,6 +250,17 @@ def test_dispatch_bad_center_entry_exits_1(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "error:" in err and "data.centers[0].foo" in err
     assert not (tmp_path / "data").exists()
+
+
+def test_dispatch_failed_command_writes_no_echo(tmp_path, capsys):
+    cfg_path = tmp_path / "config.yaml"
+    cfg_path.write_text(_TINY_CONFIG)
+    args = ["--config", str(cfg_path), "--out", str(tmp_path)]
+    assert dispatch(["gen-data"] + args) == 0
+    (tmp_path / "resolved_config.yaml").unlink()
+    assert dispatch(["eval"] + args) == 1  # no checkpoint in the out dir
+    assert "error:" in capsys.readouterr().err
+    assert not (tmp_path / "resolved_config.yaml").exists()
 
 
 def test_dispatch_negative_data_seed_exits_1(tmp_path, capsys):
