@@ -104,15 +104,31 @@ def _group_param_list(net: DRMCNetwork, group: Sequence[str]):
     return out
 
 
-def batch_loss(net: DRMCNetwork, batch, charb_eps: float) -> Tensor:
+def batch_loss(net: DRMCNetwork, batch) -> Tensor:
     """Mean Charbonnier loss of the network over (low, full) patch pairs; the
     training loss and the default loss of the interference diagnostics."""
     acc = None
     for low, full in batch:
         est, _ = network_forward(net, Tensor(np.asarray(low)))
-        term = T.charbonnier(Tensor(np.asarray(full)), est, eps=charb_eps)
+        term = T.charbonnier(Tensor(np.asarray(full)), est)
         acc = term if acc is None else T.add(acc, term)
     return T.scale(acc, 1.0 / len(batch))
+
+
+def batch_gradients(net, batch, loss_fn=None) -> tuple[float, dict[str, np.ndarray]]:
+    """The loss and every parameter's gradient by name (zeros where the graph
+    did not reach) from one backward pass of ``loss_fn(net, batch)``, default
+    ``batch_loss``; the one gradient path of training and the diagnostics.
+    The graph is freed on return and no ``grad`` is left set."""
+    net.zero_grad()
+    loss = (loss_fn or batch_loss)(net, batch)
+    loss.backward()
+    grads = {
+        name: (p.grad if p.grad is not None else np.zeros_like(p.data))
+        for name, p in net.named_parameters()
+    }
+    net.zero_grad()
+    return float(loss.data), grads
 
 
 def _group_label(group: Sequence[str], group_label: str = "") -> str:
@@ -123,21 +139,14 @@ def _group_label(group: Sequence[str], group_label: str = "") -> str:
     return ".".join(os.path.commonprefix([name.split(".") for name in group])) or "all"
 
 
-def _batch_grads(net, batch, group_params, charb_eps, loss_fn=None) -> list[np.ndarray]:
-    """One backward pass over ``batch``; the gradient of each parameter group
-    in ``group_params`` as one float64 vector. The loss and its graph live
-    only in this scope, so they are freed before the next forward pass."""
-    net.zero_grad()
-    (loss_fn or batch_loss)(net, batch, charb_eps).backward()
-    out = [
-        np.concatenate([
-            (p.grad if p.grad is not None else np.zeros_like(p.data)).astype(np.float64).ravel()
-            for _, p in gp
-        ])
+def _batch_grads(net, batch, group_params, loss_fn=None) -> list[np.ndarray]:
+    """The gradient of each parameter group in ``group_params`` over
+    ``batch`` as one float64 vector, from one ``batch_gradients`` pass."""
+    _, grads = batch_gradients(net, batch, loss_fn)
+    return [
+        np.concatenate([grads[name].astype(np.float64).ravel() for name, _ in gp])
         for gp in group_params
     ]
-    net.zero_grad()
-    return out
 
 
 def _unit_grads(grads, where: str):
@@ -160,7 +169,6 @@ def center_gradients(
     net: DRMCNetwork,
     center_batches: dict[int, list],
     groups: dict[str, Sequence[str]],
-    charb_eps: float = 1e-3,
     loss_fn=None,
 ) -> dict[str, dict[int, list[np.ndarray]]]:
     """Per-batch gradient vectors keyed by group label, then center id. One
@@ -169,7 +177,7 @@ def center_gradients(
     out = {label: {cid: [] for cid in sorted(center_batches)} for label in gps}
     for cid in sorted(center_batches):
         for batch in center_batches[cid]:
-            for label, g in zip(gps, _batch_grads(net, batch, gps.values(), charb_eps, loss_fn)):
+            for label, g in zip(gps, _batch_grads(net, batch, gps.values(), loss_fn)):
                 out[label][cid].append(g)
     return out
 
@@ -180,7 +188,6 @@ def delta_loss(
     batches_j,
     lam: float = 1e-4,
     group: Optional[Sequence[str]] = None,
-    charb_eps: float = 1e-3,
     form: str = "first_order",
     loss_fn=None,
 ) -> float:
@@ -189,7 +196,7 @@ def delta_loss(
 
     ``form='first_order'`` uses lam * E[(g_j/|g_j|) . g_i]; ``form='exact'``
     actually takes the step, re-evaluates the loss, and restores.
-    ``loss_fn(net, batch, eps)`` overrides the default Charbonnier
+    ``loss_fn(net, batch)`` overrides the default Charbonnier
     reconstruction loss (used by diagnostics on synthetic objectives)."""
     if lam <= 0:
         raise UsageError(f"lam must be > 0, got {lam}")
@@ -197,24 +204,24 @@ def delta_loss(
         group = [n for n, _ in net.named_parameters()]
     gp = _group_param_list(net, group)
     eval_loss = loss_fn or batch_loss
-    grads_j = [_batch_grads(net, b, [gp], charb_eps, loss_fn)[0] for b in batches_j]
+    grads_j = [_batch_grads(net, b, [gp], loss_fn)[0] for b in batches_j]
     _, units_j = _unit_grads(grads_j, f"group {_group_label(group)}")
 
     if form == "first_order":
         vals = []
         for batch_i in batches_i:
-            gi = _batch_grads(net, batch_i, [gp], charb_eps, loss_fn)[0]
+            gi = _batch_grads(net, batch_i, [gp], loss_fn)[0]
             vals.append(lam * float(np.mean([u @ gi for u in units_j])))
         return float(np.mean(vals))
     if form == "exact":
         vals = []
         with T.no_grad():
             for batch_i in batches_i:
-                base = float(eval_loss(net, batch_i, charb_eps).data)
+                base = float(eval_loss(net, batch_i).data)
                 deltas = []
                 for u in units_j:
                     _apply_step(gp, u, -lam)
-                    stepped = float(eval_loss(net, batch_i, charb_eps).data)
+                    stepped = float(eval_loss(net, batch_i).data)
                     _apply_step(gp, u, lam)
                     deltas.append(base - stepped)
                 vals.append(float(np.mean(deltas)))
@@ -273,13 +280,12 @@ def interference(
     center_batches: dict[int, list],
     group: Sequence[str],
     group_label: str = "",
-    charb_eps: float = 1e-3,
     loss_fn=None,
 ) -> InterferenceMatrix:
     """K x K matrix of I(i, j) over a parameter group, with fixed shared
     batch sets per center; the diagonal is exactly 1."""
     label = _group_label(group, group_label)
-    grads = center_gradients(net, center_batches, {label: group}, charb_eps, loss_fn)
+    grads = center_gradients(net, center_batches, {label: group}, loss_fn)
     return interference_from_gradients(grads[label], label)
 
 

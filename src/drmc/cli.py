@@ -20,7 +20,7 @@ import yaml
 from . import analysis, training, volio
 from .config import RunConfig, parse_config, write_resolved_config
 from .data import SampleRecord, build_dataset
-from .errors import DrmcError, NumericError, UsageError
+from .errors import DrmcError, FormatError, NumericError, UsageError
 from .model import DRMCNetwork, load_checkpoint, save_checkpoint
 
 
@@ -95,7 +95,13 @@ def load_records(data_dir) -> tuple[list[SampleRecord], list[int], list[int]]:
     manifest_path = data_dir / "manifest.yaml"
     if not manifest_path.exists():
         raise UsageError(f"no dataset manifest at {manifest_path}; run gen-data first")
-    manifest = yaml.safe_load(manifest_path.read_text())
+    try:
+        manifest = yaml.safe_load(manifest_path.read_text())
+    except yaml.YAMLError as e:
+        raise FormatError(f"cannot parse {manifest_path}: {e}") from None
+    for key in ("centers", "known_ids", "unknown_ids"):
+        if not isinstance(manifest, dict) or key not in manifest:
+            raise FormatError(f"{manifest_path} has no key {key!r}; run gen-data again")
     records = []
     for center in manifest["centers"]:
         cid = center["id"]
@@ -175,9 +181,7 @@ def cmd_interference(cfg: RunConfig, checkpoint=None):
         groups = {"all": [n for n, _ in net.named_parameters()]}
     else:
         groups = analysis.parameter_groups(net)
-    grads = analysis.center_gradients(
-        net, batches, groups, charb_eps=cfg.train.charbonnier_eps
-    )
+    grads = analysis.center_gradients(net, batches, groups)
     gated_off = []
     for label, center_grads in grads.items():
         try:

@@ -224,14 +224,14 @@ def default_known_centers() -> list[CenterSpec]:
     """Four training centers mirroring the structure of a multi-site study:
     distinct dose-reduction factors, blurs, spacings and intensity scales."""
     return [
-        CenterSpec(id=1, drf=12, psf_sigma=1.0, spacing_scale=1.0,
-                   count_scale=120, intensity_gain=1.0, intensity_offset=0.0),
-        CenterSpec(id=2, drf=4, psf_sigma=0.6, spacing_scale=0.8,
-                   count_scale=150, intensity_gain=1.3, intensity_offset=0.05),
-        CenterSpec(id=3, drf=10, psf_sigma=0.8, spacing_scale=1.25,
-                   count_scale=100, intensity_gain=0.8, intensity_offset=0.10),
-        CenterSpec(id=4, drf=10, psf_sigma=0.7, spacing_scale=0.9,
-                   count_scale=130, intensity_gain=1.1, intensity_offset=0.02),
+        CenterSpec(id=1, drf=12.0, psf_sigma=1.0, spacing_scale=1.0,
+                   count_scale=120.0, intensity_gain=1.0, intensity_offset=0.0),
+        CenterSpec(id=2, drf=4.0, psf_sigma=0.6, spacing_scale=0.8,
+                   count_scale=150.0, intensity_gain=1.3, intensity_offset=0.05),
+        CenterSpec(id=3, drf=10.0, psf_sigma=0.8, spacing_scale=1.25,
+                   count_scale=100.0, intensity_gain=0.8, intensity_offset=0.10),
+        CenterSpec(id=4, drf=10.0, psf_sigma=0.7, spacing_scale=0.9,
+                   count_scale=130.0, intensity_gain=1.1, intensity_offset=0.02),
     ]
 
 
@@ -239,9 +239,9 @@ def default_unknown_centers() -> list[CenterSpec]:
     """Two held-out centers: a lesion-free 'brain-like' center and a near
     twin of center 1 with shifted blur and gain."""
     return [
-        CenterSpec(id=5, drf=4, psf_sigma=0.5, spacing_scale=1.1,
-                   count_scale=150, intensity_gain=1.2, intensity_offset=0.0,
+        CenterSpec(id=5, drf=4.0, psf_sigma=0.5, spacing_scale=1.1,
+                   count_scale=150.0, intensity_gain=1.2, intensity_offset=0.0,
                    phantom="brain", lesions=False),
-        CenterSpec(id=6, drf=12, psf_sigma=0.9, spacing_scale=1.0,
-                   count_scale=120, intensity_gain=1.1, intensity_offset=0.0),
+        CenterSpec(id=6, drf=12.0, psf_sigma=0.9, spacing_scale=1.0,
+                   count_scale=120.0, intensity_gain=1.1, intensity_offset=0.0),
     ]

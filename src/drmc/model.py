@@ -263,9 +263,6 @@ class DRMCNetwork(Module):
         self.tail_weight = Parameter(np.zeros((1, c, 3, 3, 3), np.float32))
         self.tail_bias = Parameter(np.zeros(1, np.float32))
 
-    def __call__(self, low: Tensor):
-        return network_forward(self, low)
-
 
 def network_forward(net: DRMCNetwork, low: Tensor) -> tuple[Tensor, list[Tensor]]:
     """Full forward pass: returns (estimate, routing weight log of length 2N)."""
@@ -303,6 +300,15 @@ def save_checkpoint(net: DRMCNetwork, path):
             fh.write(p.data.astype("<f4").tobytes())
 
 
+def _parameter_count(c: int, m: int, n: int, h: int) -> int:
+    """Parameter count of a network with C channels, M experts, N blocks and
+    router width h: head and tail conv, then per block two layernorms, M
+    attention and M FFN experts, and two routers."""
+    expert_pair = 8 * c * c + 30 * c + 1
+    router = h * (c + h) + h + m * h + m
+    return 55 * c + 1 + n * (4 * c + m * expert_pair + 2 * router)
+
+
 def load_checkpoint(path) -> DRMCNetwork:
     with open(path, "rb") as fh:
         blob = fh.read()
@@ -316,6 +322,14 @@ def load_checkpoint(path) -> DRMCNetwork:
         raise FormatError(f"unsupported checkpoint version {version}")
     if gate_code >= len(GATE_KINDS):
         raise FormatError(f"unknown gate code {gate_code}")
+    offset = 4 + header
+    # sized from the header alone, so a bad header allocates nothing
+    end = offset + 4 * _parameter_count(c, m, n, ch)
+    if len(blob) != end:
+        raise FormatError(
+            f"checkpoint header declares parameters up to offset {end}, "
+            f"but the file ends at offset {len(blob)}"
+        )
     net = DRMCNetwork(
         ModelConfig(
             channels=c,
@@ -325,21 +339,10 @@ def load_checkpoint(path) -> DRMCNetwork:
             gate=GATE_KINDS[gate_code],
         )
     )
-    offset = 4 + header
-    for name, p in net.named_parameters():
-        nbytes = p.data.size * 4
-        chunk = blob[offset : offset + nbytes]
-        if len(chunk) != nbytes:
-            raise FormatError(
-                f"truncated checkpoint: parameter {name} needs {nbytes} bytes "
-                f"at offset {offset}, {len(chunk)} available"
-            )
-        p.data = np.frombuffer(chunk, dtype="<f4").reshape(p.shape).copy()
-        offset += nbytes
-    if offset != len(blob):
-        raise FormatError(
-            f"checkpoint has {len(blob) - offset} trailing bytes at offset {offset}"
-        )
+    for _, p in net.named_parameters():
+        raw = np.frombuffer(blob, "<f4", count=p.data.size, offset=offset)
+        p.data = raw.reshape(p.shape).copy()
+        offset += 4 * p.data.size
     return net
 
 

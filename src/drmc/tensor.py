@@ -28,6 +28,7 @@ _grad_enabled = True
 
 _GELU_C = math.sqrt(2.0 / math.pi)
 _GELU_A = 0.044715
+CHARBONNIER_EPS = 1e-3  # the loss's epsilon, fixed by the recipe
 
 
 @contextmanager
@@ -494,7 +495,7 @@ def tmean(x: Tensor) -> Tensor:
     )
 
 
-def charbonnier(y: Tensor, y_hat: Tensor, eps: float = 1e-3) -> Tensor:
+def charbonnier(y: Tensor, y_hat: Tensor, eps: float = CHARBONNIER_EPS) -> Tensor:
     """Mean over voxels of sqrt((y - y_hat)^2 + eps^2); smooth everywhere."""
     if y.shape != y_hat.shape:
         raise DimensionError(

@@ -29,19 +29,12 @@ class TrainConfig:
     patch_size: int = 12
     patches_per_center: int = 32
     batch_per_center: int = 8
-    beta1: float = 0.9
-    beta2: float = 0.999
-    adam_eps: float = 1e-8
-    charbonnier_eps: float = 1e-3
     seed: int = 0
     checkpoint_every: int = 0  # 0 = only at the end
+    charbonnier_eps = T.CHARBONNIER_EPS  # unannotated: a constant, not a setting
 
     def __post_init__(self):
-        positive = (
-            "epochs", "patch_size", "patches_per_center", "batch_per_center",
-            "beta1", "beta2", "adam_eps", "charbonnier_eps",
-        )
-        for key in positive:
+        for key in ("epochs", "patch_size", "patches_per_center", "batch_per_center"):
             if not getattr(self, key) > 0:
                 raise UsageError(f"{key} must be > 0, got {getattr(self, key)}")
         for key in ("lr", "checkpoint_every", "seed"):
@@ -110,6 +103,10 @@ def merge(patches, grid: PatchGrid) -> Tensor:
 # ---------------------------------------------------------------------------
 # Adam
 
+# Adam's moment decay rates and denominator offset, fixed by the recipe
+ADAM_BETAS = (0.9, 0.999)
+ADAM_EPS = 1e-8
+
 
 class AdamState:
     def __init__(self):
@@ -123,19 +120,20 @@ def adam_step(named_params, state: AdamState, cfg: TrainConfig):
     with no gradient (never-activated experts) are treated as zero-grad."""
     state.step_count += 1
     t = state.step_count
+    b1, b2 = ADAM_BETAS
     for name, p in named_params:
         g = p.grad if p.grad is not None else np.zeros_like(p.data)
         if not np.isfinite(g).all():
             raise NumericError(f"non-finite gradient in parameter {name}")
         m = state.m.setdefault(name, np.zeros_like(p.data))
         v = state.v.setdefault(name, np.zeros_like(p.data))
-        m *= cfg.beta1
-        m += (1 - cfg.beta1) * g
-        v *= cfg.beta2
-        v += (1 - cfg.beta2) * g * g
-        m_hat = m / (1 - cfg.beta1**t)
-        v_hat = v / (1 - cfg.beta2**t)
-        p.data = p.data - cfg.lr * m_hat / (np.sqrt(v_hat) + cfg.adam_eps)
+        m *= b1
+        m += (1 - b1) * g
+        v *= b2
+        v += (1 - b2) * g * g
+        m_hat = m / (1 - b1**t)
+        v_hat = v / (1 - b2**t)
+        p.data = p.data - cfg.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
 
 # ---------------------------------------------------------------------------
@@ -156,18 +154,11 @@ def multi_center_step(
     if len(sizes) != 1 or 0 in sizes:
         raise UsageError(f"per-center batches must be equal and nonempty: {sizes}")
     order = sorted(batches)
-    named = list(net.named_parameters())
     losses: dict[int, float] = {}
     buffers: dict[int, dict[str, np.ndarray]] = {}
     for cid in order:
-        net.zero_grad()
-        loss = analysis.batch_loss(net, batches[cid], cfg.charbonnier_eps)
-        loss.backward()
-        losses[cid] = float(loss.data)
-        buffers[cid] = {
-            name: (p.grad if p.grad is not None else np.zeros_like(p.data))
-            for name, p in named
-        }
+        losses[cid], buffers[cid] = analysis.batch_gradients(net, batches[cid])
+    named = list(net.named_parameters())
     k = len(order)
     for name, p in named:
         avg = buffers[order[0]][name].copy()
@@ -267,16 +258,13 @@ def train(
             for cid, l in losses.items():
                 epoch_loss[cid] += l
         for cid in train_centers:
-            vals = []
-            for rec in test_by_center[cid]:
-                est = predict_volume(net, rec.low, cfg)
-                vals.append(analysis.psnr(est, rec.full, peak=float(rec.full.data.max())))
+            rows = evaluate(net, test_by_center[cid], cfg)
             history.append(
                 HistoryRow(
                     epoch=epoch,
                     center_id=cid,
                     train_loss=epoch_loss[cid] / n_steps,
-                    val_psnr=float(np.mean(vals)),
+                    val_psnr=float(np.mean([row["psnr"] for row in rows])),
                 )
             )
         if epoch_callback is not None:

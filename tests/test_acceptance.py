@@ -267,12 +267,12 @@ def test_c05_interference_metric():
         def __init__(self):
             self.w = Parameter(np.float32([0.0, 0.0]))
 
-    def base_loss(net_, b, eps):
+    def base_loss(net_, b):
         diff = T.sub(net_.w, Tensor(np.float32([1.0, -1.0])))
         return T.tsum(T.mul(diff, diff))
 
-    def loss_fn(net_, b, eps):
-        out = base_loss(net_, b, eps)
+    def loss_fn(net_, b):
+        out = base_loss(net_, b)
         return T.scale(out, -1.0) if b == 2 else out
 
     toy = Toy()

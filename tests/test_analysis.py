@@ -131,7 +131,7 @@ def _quadratic_loss(coeffs, targets):
     c = Tensor(np.float32(coeffs))
     t = Tensor(np.float32(targets))
 
-    def loss_fn(net, batch, eps):
+    def loss_fn(net, batch):
         diff = T.sub(net.w, t)
         return T.tsum(T.mul(c, T.mul(diff, diff)))
 
@@ -141,8 +141,8 @@ def _quadratic_loss(coeffs, targets):
 def _dispatching_loss(per_task):
     """batch is the task id; route to that task's loss."""
 
-    def loss_fn(net, batch, eps):
-        return per_task[batch](net, batch, eps)
+    def loss_fn(net, batch):
+        return per_task[batch](net, batch)
 
     return loss_fn
 
@@ -213,8 +213,8 @@ def test_interference_opposed_gradients_are_negative():
     toy = _ToyTask((0.0, 0.0))
     base = _quadratic_loss([1.0, 1.0], [1.0, -1.0])
 
-    def opposed(net, batch, eps):
-        return T.scale(base(net, batch, eps), -1.0)
+    def opposed(net, batch):
+        return T.scale(base(net, batch), -1.0)
 
     loss_fn = _dispatching_loss({1: base, 2: opposed})
     mat = interference(toy, {1: [1], 2: [2]}, ["w"], loss_fn=loss_fn)

@@ -108,12 +108,17 @@ def test_config_int_widens_to_float():
         ("data:\n  n_train: -3\n  n_test: 4\n", "data.n_train"),
         ("data:\n  n_test: 0\n", "data.n_test"),
         ("train:\n  seed: -1\n", "train.seed"),
+        ("train:\n  beta1: 0.9\n", "train.beta1"),
+        ("train:\n  beta2: 0.999\n", "train.beta2"),
+        ("train:\n  adam_eps: 1.0e-8\n", "train.adam_eps"),
+        ("train:\n  charbonnier_eps: 0.01\n", "train.charbonnier_eps"),
     ],
     ids=[
         "center-unknown-key", "center-missing-id", "center-range", "center-bool",
         "center-not-mapping", "centers-not-list", "centers-default-string", "n_batches-zero", "batch_size-zero",
         "lam-removed", "data-seed-negative", "n_train-negative", "n_test-zero",
-        "train-seed-negative",
+        "train-seed-negative", "beta1-removed", "beta2-removed", "adam_eps-removed",
+        "charbonnier_eps-removed",
     ],
 )
 def test_config_center_entries_and_analysis_ranges(text, key):
@@ -441,3 +446,24 @@ def test_eval_missing_checkpoint_exits_1(tiny_run, capsys):
     code = dispatch(["eval"] + args + ["--checkpoint", str(out / "nope.drmc")])
     assert code == 1
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "text, key",
+    [("", "centers"), ("known_ids: [1]\nunknown_ids: []\n", "centers")],
+    ids=["empty", "no-centers"],
+)
+def test_load_records_malformed_manifest_names_path_and_key(tmp_path, text, key):
+    manifest = tmp_path / "manifest.yaml"
+    manifest.write_text(text)
+    with pytest.raises(FormatError) as e:
+        load_records(tmp_path)
+    assert str(manifest) in str(e.value) and repr(key) in str(e.value)
+
+
+def test_gen_data_from_its_own_echo_writes_the_same_text(tiny_run, tmp_path):
+    out, _ = tiny_run
+    assert dispatch(["gen-data", "--config", str(out / "resolved_config.yaml"),
+                     "--out", str(tmp_path)]) == 0
+    for name in ["manifest.yaml"] + [f"center_{i}/meta.yaml" for i in range(1, 7)]:
+        assert (tmp_path / "data" / name).read_text() == (out / "data" / name).read_text()

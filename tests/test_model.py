@@ -4,7 +4,9 @@ checks at an active operating point, and the checkpoint format."""
 
 import hashlib
 import math
+import struct
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,6 +23,7 @@ from drmc.model import (
     FFNExpert,
     ModelConfig,
     _apply_gate,
+    _parameter_count,
     clone_network,
     drb_forward,
     fuse,
@@ -435,3 +438,30 @@ def test_checkpoint_trailing_bytes_rejected(tmp_path):
     path.write_bytes(path.read_bytes() + b"\x00\x00\x00\x00")
     with pytest.raises(FormatError):
         load_checkpoint(path)
+
+
+@pytest.mark.parametrize(
+    "channels, n_experts, n_blocks, router_hidden",
+    [(1, 1, 1, 1), (4, 2, 1, 3), (8, 3, 2, 8), (5, 4, 3, 11), (16, 3, 3, 16)],
+)
+def test_parameter_count_matches_built_network(channels, n_experts, n_blocks, router_hidden):
+    net = DRMCNetwork(ModelConfig(channels=channels, n_experts=n_experts,
+                                  n_blocks=n_blocks, router_hidden=router_hidden))
+    built = sum(p.data.size for p in net.parameters())
+    assert _parameter_count(channels, n_experts, n_blocks, router_hidden) == built
+
+
+def test_checkpoint_header_is_sized_before_allocation(tmp_path):
+    # a header-only file declaring a large network is rejected from its
+    # length alone, before any parameter is drawn
+    path = tmp_path / "huge.drmc"
+    path.write_bytes(b"DRMC" + struct.pack("<IIIIIB", 1, 300, 3, 3, 300, 0))
+    tracemalloc.start()
+    try:
+        with pytest.raises(FormatError) as e:
+            load_checkpoint(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert "offset 25" in str(e.value)
+    assert peak < 1_000_000

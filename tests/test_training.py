@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _utils import perturb_parameters, random_volume
+from drmc.analysis import batch_gradients
 from drmc.data import build_dataset, default_known_centers
 from drmc.errors import DimensionError, NumericError, UsageError
 from drmc.model import DRMCNetwork, ModelConfig, Parameter, clone_network
@@ -263,6 +264,20 @@ def test_applied_gradient_is_mean_of_buffers():
 
     for (_, pa), (_, pb) in zip(net.named_parameters(), twin.named_parameters()):
         assert np.array_equal(pa.data, pb.data)
+
+
+def test_step_gradients_are_batch_gradients():
+    # training and the diagnostics share one gradient path, bit for bit
+    net = _tiny_net(seed=5)
+    twin = clone_network(net)
+    batches = {1: _batch(9), 2: _batch(10), 3: _batch(11)}
+    losses, buffers = multi_center_step(net, batches, AdamState(), TrainConfig(epochs=1))
+    for cid, batch in batches.items():
+        loss, grads = batch_gradients(twin, batch)
+        assert losses[cid] == loss
+        assert list(buffers[cid]) == list(grads)
+        for name, g in grads.items():
+            assert np.array_equal(buffers[cid][name], g), name
 
 
 def test_losses_reported_per_center():
