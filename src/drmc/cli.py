@@ -102,8 +102,14 @@ def load_records(data_dir) -> tuple[list[SampleRecord], list[int], list[int]]:
     for key in ("centers", "known_ids", "unknown_ids"):
         if not isinstance(manifest, dict) or key not in manifest:
             raise FormatError(f"{manifest_path} has no key {key!r}; run gen-data again")
+    if not isinstance(manifest["centers"], list):
+        raise FormatError(f"{manifest_path} key 'centers' is not a list; run gen-data again")
     records = []
-    for center in manifest["centers"]:
+    for i, center in enumerate(manifest["centers"]):
+        if not isinstance(center, dict) or "id" not in center:
+            raise FormatError(
+                f"{manifest_path} entry {i} of 'centers' has no key 'id'; run gen-data again"
+            )
         cid = center["id"]
         cdir = data_dir / f"center_{cid}"
         for low_path in sorted(cdir.glob("*_low.vol")):

@@ -7,13 +7,19 @@ is added back to the input (global residual). Routers are chained: each one
 receives the previous router's hidden state, so expert decisions carry
 cross-layer context. The tail conv is zero-initialized, making the whole
 network an exact identity map before training.
+
+Every module takes a parameter source ``init`` and asks it for each of its
+parameters in declaration order, so the constructors are the one walk over
+the parameter layout: ``draw(rng)`` fills it with initial values, and
+``load_checkpoint`` fills it from a file.
 """
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Callable, Iterator, Optional
 
 import numpy as np
 
@@ -26,6 +32,25 @@ _GATE_CODES = {k: i for i, k in enumerate(GATE_KINDS)}
 
 CHECKPOINT_MAGIC = b"DRMC"
 CHECKPOINT_VERSION = 1
+# version, channels, experts, blocks, router width, gate code
+CHECKPOINT_HEADER = struct.Struct("<IIIIIB")
+
+# init(shape, fan_in=0, fill=0.0) -> float32 array of that shape
+Init = Callable[..., np.ndarray]
+
+
+def draw(rng: np.random.Generator) -> Init:
+    """Parameter source for a fresh network: a uniform draw in
+    +-1/sqrt(fan_in) when ``fan_in`` is given, the constant ``fill``
+    otherwise (which consumes no random numbers)."""
+
+    def init(shape: tuple, fan_in: int = 0, fill: float = 0.0) -> np.ndarray:
+        if fan_in:
+            bound = 1.0 / np.sqrt(fan_in)
+            return rng.uniform(-bound, bound, size=shape).astype(np.float32)
+        return np.full(shape, fill, np.float32)
+
+    return init
 
 
 class Parameter(Tensor):
@@ -56,17 +81,10 @@ class Module:
             p.zero_grad()
 
 
-def _fanin_uniform(rng: np.random.Generator, shape, fan_in: int) -> np.ndarray:
-    bound = 1.0 / np.sqrt(fan_in)
-    return rng.uniform(-bound, bound, size=shape).astype(np.float32)
-
-
 class Linear(Module):
-    def __init__(
-        self, out_features: int, in_features: int, rng: np.random.Generator, bias: bool = True
-    ):
-        self.weight = Parameter(_fanin_uniform(rng, (out_features, in_features), in_features))
-        self.bias = Parameter(np.zeros(out_features, np.float32)) if bias else None
+    def __init__(self, out_features: int, in_features: int, init: Init, bias: bool = True):
+        self.weight = Parameter(init((out_features, in_features), fan_in=in_features))
+        self.bias = Parameter(init((out_features,))) if bias else None
 
     def __call__(self, x: Tensor) -> Tensor:
         # x: (in, S) column-major feature matrix
@@ -80,14 +98,14 @@ class AttentionExpert(Module):
     """Channel attention with linear cost in voxel count, plus a depthwise
     conv reinstating local spatial context."""
 
-    def __init__(self, channels: int, rng: np.random.Generator):
+    def __init__(self, channels: int, init: Init):
         c = channels
-        self.q_proj = Linear(c, c, rng, bias=False)
-        self.k_proj = Linear(c, c, rng, bias=False)
-        self.v_proj = Linear(c, c, rng, bias=False)
-        self.log_temperature = Parameter(np.zeros((), np.float32))
-        self.out_proj = Linear(c, c, rng, bias=False)
-        self.local_conv = Parameter(_fanin_uniform(rng, (c, 1, 3, 3, 3), 27))
+        self.q_proj = Linear(c, c, init, bias=False)
+        self.k_proj = Linear(c, c, init, bias=False)
+        self.v_proj = Linear(c, c, init, bias=False)
+        self.log_temperature = Parameter(init(()))
+        self.out_proj = Linear(c, c, init, bias=False)
+        self.local_conv = Parameter(init((c, 1, 3, 3, 3), fan_in=27))
 
     def __call__(self, x: Tensor) -> Tensor:
         c, d, h, w = x.shape
@@ -114,10 +132,10 @@ def _transpose(t: Tensor) -> Tensor:
 class FFNExpert(Module):
     """Position-wise 2-layer MLP with GELU, hidden width 2C."""
 
-    def __init__(self, channels: int, rng: np.random.Generator):
+    def __init__(self, channels: int, init: Init):
         c = channels
-        self.w1 = Linear(2 * c, c, rng)
-        self.w2 = Linear(c, 2 * c, rng)
+        self.w1 = Linear(2 * c, c, init)
+        self.w2 = Linear(c, 2 * c, init)
 
     def __call__(self, x: Tensor) -> Tensor:
         c, d, h, w = x.shape
@@ -127,11 +145,11 @@ class FFNExpert(Module):
 
 
 class ExpertBank(Module):
-    def __init__(self, kind: str, channels: int, n_experts: int, rng: np.random.Generator):
+    def __init__(self, kind: str, channels: int, n_experts: int, init: Init):
         if n_experts < 1:
             raise ConfigError(f"expert bank needs M >= 1, got {n_experts}")
         cls = AttentionExpert if kind == "attention" else FFNExpert
-        self.experts = [cls(channels, rng) for _ in range(n_experts)]
+        self.experts = [cls(channels, init) for _ in range(n_experts)]
 
     def __len__(self):
         return len(self.experts)
@@ -140,9 +158,9 @@ class ExpertBank(Module):
 class DynamicRoutingModule(Module):
     """Router MLP: [GAP(X), H] -> hidden -> M nonnegative expert weights."""
 
-    def __init__(self, channels: int, hidden: int, n_experts: int, rng: np.random.Generator):
-        self.w_in = Linear(hidden, channels + hidden, rng)
-        self.w_out = Linear(n_experts, hidden, rng)
+    def __init__(self, channels: int, hidden: int, n_experts: int, init: Init):
+        self.w_in = Linear(hidden, channels + hidden, init)
+        self.w_out = Linear(n_experts, hidden, init)
         self.n_experts = n_experts
         self.hidden = hidden
 
@@ -198,16 +216,16 @@ def fuse(bank: ExpertBank, x: Tensor, w: Tensor) -> Tensor:
 
 
 class DynamicRoutingBlock(Module):
-    def __init__(self, channels: int, hidden: int, n_experts: int, rng: np.random.Generator):
+    def __init__(self, channels: int, hidden: int, n_experts: int, init: Init):
         c = channels
-        self.norm1_gain = Parameter(np.ones(c, np.float32))
-        self.norm1_offset = Parameter(np.zeros(c, np.float32))
-        self.att_bank = ExpertBank("attention", c, n_experts, rng)
-        self.att_router = DynamicRoutingModule(c, hidden, n_experts, rng)
-        self.norm2_gain = Parameter(np.ones(c, np.float32))
-        self.norm2_offset = Parameter(np.zeros(c, np.float32))
-        self.ffn_bank = ExpertBank("ffn", c, n_experts, rng)
-        self.ffn_router = DynamicRoutingModule(c, hidden, n_experts, rng)
+        self.norm1_gain = Parameter(init((c,), fill=1.0))
+        self.norm1_offset = Parameter(init((c,)))
+        self.att_bank = ExpertBank("attention", c, n_experts, init)
+        self.att_router = DynamicRoutingModule(c, hidden, n_experts, init)
+        self.norm2_gain = Parameter(init((c,), fill=1.0))
+        self.norm2_offset = Parameter(init((c,)))
+        self.ffn_bank = ExpertBank("ffn", c, n_experts, init)
+        self.ffn_router = DynamicRoutingModule(c, hidden, n_experts, init)
 
 
 def drb_forward(
@@ -246,22 +264,23 @@ class ModelConfig:
 
 
 class DRMCNetwork(Module):
-    """Parameters are drawn from ``seed`` in declaration order; the tail
-    conv is all-zero, so the network is the identity map until the first
-    optimizer step."""
+    """Parameters come from ``init`` in declaration order; by default they
+    are drawn from ``seed``. The drawn tail conv is all-zero, so a fresh
+    network is the identity map until the first optimizer step."""
 
-    def __init__(self, config: ModelConfig, seed: int = 0):
+    def __init__(self, config: ModelConfig, seed: int = 0, init: Optional[Init] = None):
+        if init is None:
+            init = draw(np.random.default_rng(seed))
         self.config = config
         c = config.channels
-        rng = np.random.default_rng(seed)
-        self.head_weight = Parameter(_fanin_uniform(rng, (c, 1, 3, 3, 3), 27))
-        self.head_bias = Parameter(np.zeros(c, np.float32))
+        self.head_weight = Parameter(init((c, 1, 3, 3, 3), fan_in=27))
+        self.head_bias = Parameter(init((c,)))
         self.blocks = [
-            DynamicRoutingBlock(c, config.router_hidden, config.n_experts, rng)
+            DynamicRoutingBlock(c, config.router_hidden, config.n_experts, init)
             for _ in range(config.n_blocks)
         ]
-        self.tail_weight = Parameter(np.zeros((1, c, 3, 3, 3), np.float32))
-        self.tail_bias = Parameter(np.zeros(1, np.float32))
+        self.tail_weight = Parameter(init((1, c, 3, 3, 3)))
+        self.tail_bias = Parameter(init((1,)))
 
 
 def network_forward(net: DRMCNetwork, low: Tensor) -> tuple[Tensor, list[Tensor]]:
@@ -277,8 +296,8 @@ def network_forward(net: DRMCNetwork, low: Tensor) -> tuple[Tensor, list[Tensor]
 
 
 # ---------------------------------------------------------------------------
-# checkpoint format: magic, version, config record, raw float32 parameters
-# in declaration order, all little-endian.
+# checkpoint format, all little-endian: magic, CHECKPOINT_HEADER, then the
+# float32 parameters in declaration order.
 
 
 def save_checkpoint(net: DRMCNetwork, path):
@@ -286,8 +305,7 @@ def save_checkpoint(net: DRMCNetwork, path):
     with open(path, "wb") as fh:
         fh.write(CHECKPOINT_MAGIC)
         fh.write(
-            struct.pack(
-                "<IIIIIB",
+            CHECKPOINT_HEADER.pack(
                 CHECKPOINT_VERSION,
                 cfg.channels,
                 cfg.n_experts,
@@ -300,56 +318,50 @@ def save_checkpoint(net: DRMCNetwork, path):
             fh.write(p.data.astype("<f4").tobytes())
 
 
-def _parameter_count(c: int, m: int, n: int, h: int) -> int:
-    """Parameter count of a network with C channels, M experts, N blocks and
-    router width h: head and tail conv, then per block two layernorms, M
-    attention and M FFN experts, and two routers."""
-    expert_pair = 8 * c * c + 30 * c + 1
-    router = h * (c + h) + h + m * h + m
-    return 55 * c + 1 + n * (4 * c + m * expert_pair + 2 * router)
-
-
 def load_checkpoint(path) -> DRMCNetwork:
+    """Build the network the header declares, reading each parameter from
+    the file as its constructor asks for it: nothing is drawn, and no read
+    goes past the end of the file."""
     with open(path, "rb") as fh:
         blob = fh.read()
     if blob[:4] != CHECKPOINT_MAGIC:
         raise FormatError(f"bad checkpoint magic {blob[:4]!r} at offset 0")
-    header = struct.calcsize("<IIIIIB")
-    if len(blob) < 4 + header:
-        raise FormatError(f"truncated checkpoint header, {len(blob)} bytes")
-    version, c, m, n, ch, gate_code = struct.unpack("<IIIIIB", blob[4 : 4 + header])
-    if version != CHECKPOINT_VERSION:
-        raise FormatError(f"unsupported checkpoint version {version}")
-    if gate_code >= len(GATE_KINDS):
-        raise FormatError(f"unknown gate code {gate_code}")
-    offset = 4 + header
-    # sized from the header alone, so a bad header allocates nothing
-    end = offset + 4 * _parameter_count(c, m, n, ch)
-    if len(blob) != end:
+    offset = 4 + CHECKPOINT_HEADER.size
+    if len(blob) < offset:
         raise FormatError(
-            f"checkpoint header declares parameters up to offset {end}, "
+            f"truncated checkpoint header: file ends at offset {len(blob)}, "
+            f"header ends at offset {offset}"
+        )
+    version, c, m, n, h, gate_code = CHECKPOINT_HEADER.unpack_from(blob, 4)
+    if version != CHECKPOINT_VERSION:
+        raise FormatError(f"unsupported checkpoint version {version} at offset 4")
+    if gate_code >= len(GATE_KINDS):
+        raise FormatError(f"unknown gate code {gate_code} at offset 24")
+    try:
+        config = ModelConfig(
+            channels=c, n_experts=m, n_blocks=n, router_hidden=h, gate=GATE_KINDS[gate_code]
+        )
+    except ConfigError as e:
+        raise FormatError(f"invalid checkpoint header at offsets 8-24: {e}") from None
+
+    def read(shape: tuple, fan_in: int = 0, fill: float = 0.0) -> np.ndarray:
+        nonlocal offset
+        # math.prod over Python ints: the u32 dims cannot wrap
+        size = math.prod(shape)
+        end = offset + 4 * size
+        if end > len(blob):
+            raise FormatError(
+                f"checkpoint ends at offset {len(blob)}, inside a parameter "
+                f"spanning offsets {offset}-{end}"
+            )
+        data = np.frombuffer(blob, "<f4", count=size, offset=offset)
+        offset = end
+        return data.reshape(shape).astype(np.float32)
+
+    net = DRMCNetwork(config, init=read)
+    if offset != len(blob):
+        raise FormatError(
+            f"checkpoint parameters end at offset {offset}, "
             f"but the file ends at offset {len(blob)}"
         )
-    net = DRMCNetwork(
-        ModelConfig(
-            channels=c,
-            n_experts=m,
-            n_blocks=n,
-            router_hidden=ch,
-            gate=GATE_KINDS[gate_code],
-        )
-    )
-    for _, p in net.named_parameters():
-        raw = np.frombuffer(blob, "<f4", count=p.data.size, offset=offset)
-        p.data = raw.reshape(p.shape).copy()
-        offset += 4 * p.data.size
     return net
-
-
-def clone_network(net: DRMCNetwork) -> DRMCNetwork:
-    """Independent copy with identical parameters (for read-only inference
-    or baseline comparisons)."""
-    twin = DRMCNetwork(ModelConfig(**vars(net.config)))
-    for (_, src), (_, dst) in zip(net.named_parameters(), twin.named_parameters()):
-        dst.data = src.data.copy()
-    return twin

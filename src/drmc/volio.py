@@ -6,6 +6,7 @@ Layout (little-endian regardless of host): magic "VOL1", u8 dtype tag
 
 from __future__ import annotations
 
+import math
 import struct
 
 import numpy as np
@@ -33,17 +34,21 @@ def read_volume(path) -> Tensor:
     if blob[:4] != MAGIC:
         raise FormatError(f"bad magic {blob[:4]!r} at byte offset 0")
     if len(blob) < 6:
-        raise FormatError(f"truncated header: {len(blob)} bytes total")
+        raise FormatError(
+            f"truncated header: file ends at byte offset {len(blob)}, header needs 6 bytes"
+        )
     dtype_tag, ndim = struct.unpack("<BB", blob[4:6])
     if dtype_tag != DTYPE_F32:
         raise FormatError(f"unsupported dtype tag {dtype_tag} at byte offset 4")
     dims_end = 6 + 4 * ndim
     if len(blob) < dims_end:
         raise FormatError(
-            f"truncated dims: expected {dims_end} header bytes, got {len(blob)}"
+            f"truncated dims: file ends at byte offset {len(blob)}, "
+            f"dims end at byte offset {dims_end}"
         )
     dims = struct.unpack(f"<{ndim}I", blob[6:dims_end])
-    expected = dims_end + 4 * int(np.prod(dims, dtype=np.int64))
+    # math.prod over Python ints: an int64 product of u32 dims can wrap
+    expected = dims_end + 4 * math.prod(dims)
     if len(blob) != expected:
         raise FormatError(
             f"payload length mismatch at byte offset {dims_end}: "

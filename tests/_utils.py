@@ -3,7 +3,7 @@
 import numpy as np
 
 from drmc import tensor as T
-from drmc.model import network_forward
+from drmc.model import load_checkpoint, network_forward, save_checkpoint
 from drmc.tensor import Tensor, finite_diff_check
 
 
@@ -16,6 +16,13 @@ def perturb_parameters(net, seed=0, amplitude=0.05):
         p.data = (
             p.data + rng.uniform(-amplitude, amplitude, size=p.data.shape)
         ).astype(np.float32)
+
+
+def clone(net, tmp_path):
+    """Independent copy with identical parameters, through a checkpoint."""
+    path = tmp_path / "clone.drmc"
+    save_checkpoint(net, path)
+    return load_checkpoint(path)
 
 
 def input_loss_fn(net, y, eps=1e-3):

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from _utils import input_loss_fn, parameter_fd, perturb_parameters, random_volume
+from _utils import clone, input_loss_fn, parameter_fd, perturb_parameters, random_volume
 from drmc import tensor as T
 from drmc.analysis import (
     center_gradients,
@@ -34,7 +34,7 @@ from drmc.model import (
     DynamicRoutingBlock,
     ModelConfig,
     _apply_gate,
-    clone_network,
+    draw,
     drb_forward,
     fuse,
     network_forward,
@@ -182,12 +182,14 @@ def test_c02_routing_algebra():
         assert np.count_nonzero(w.data) == min(2, m)
         assert abs(float(w.data.sum()) - 1.0) <= 1e-6
 
-    bank = ExpertBank("ffn", 4, 3, np.random.default_rng(7))
+    bank = ExpertBank("ffn", 4, 3, draw(np.random.default_rng(7)))
     x = random_volume(np.random.default_rng(8), (4, 4, 4), channels=4)
     fused = fuse(bank, x, Tensor(np.float32([0.0, 0.0, 1.0])))
     assert np.array_equal(fused.data, bank.experts[2](x).data)
 
-    block = DynamicRoutingBlock(channels=4, hidden=4, n_experts=3, rng=np.random.default_rng(9))
+    block = DynamicRoutingBlock(
+        channels=4, hidden=4, n_experts=3, init=draw(np.random.default_rng(9))
+    )
     block.att_router.w_out.bias.data = np.full(3, -9.0, np.float32)
     block.ffn_router.w_out.bias.data = np.full(3, -9.0, np.float32)
     v = random_volume(np.random.default_rng(10), (4, 4, 4), channels=4)
@@ -411,7 +413,7 @@ def test_c09_ablation_harness(tmp_path):
 # criterion 10: routing histogram sanity
 
 
-def test_c10_routing_histogram_sanity(trained_pair, desk_dataset):
+def test_c10_routing_histogram_sanity(trained_pair, desk_dataset, tmp_path):
     t0 = time.perf_counter()
     routed, _, _, _, _ = trained_pair
     recs = [r for r in desk_dataset if r.center_id in KNOWN_IDS and r.split == "test"]
@@ -425,7 +427,7 @@ def test_c10_routing_histogram_sanity(trained_pair, desk_dataset):
     # Argmax invariance under positive rescaling of a router's logits holds
     # with that router's inputs fixed, so rescale only the last router in the
     # chain: its decision feeds no later router or activation.
-    scaled = clone_network(routed)
+    scaled = clone(routed, tmp_path)
     last = scaled.blocks[-1].ffn_router
     last.w_out.weight.data = last.w_out.weight.data * 2.0
     last.w_out.bias.data = last.w_out.bias.data * 2.0

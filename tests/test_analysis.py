@@ -8,7 +8,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from _utils import perturb_parameters, random_volume
+from _utils import clone, perturb_parameters, random_volume
 from drmc import tensor as T
 from drmc.analysis import (
     center_gradients,
@@ -26,7 +26,6 @@ from drmc.model import (
     ModelConfig,
     Module,
     Parameter,
-    clone_network,
 )
 from drmc.tensor import Tensor
 from drmc.training import AdamState, TrainConfig, multi_center_step
@@ -349,7 +348,7 @@ def test_histogram_counts_sum_to_sample_counts():
 
 
 @pytest.mark.parametrize("gate", ["relu", "softmax"])
-def test_histogram_invariant_under_positive_logit_rescaling(gate):
+def test_histogram_invariant_under_positive_logit_rescaling(gate, tmp_path):
     net = DRMCNetwork(ModelConfig(channels=4, n_experts=3, n_blocks=2, gate=gate), seed=5)
     perturb_parameters(net, seed=6)
     recs = _records(4, 4, [1, 2])
@@ -357,7 +356,7 @@ def test_histogram_invariant_under_positive_logit_rescaling(gate):
 
     # Only the final router's logits can be rescaled without touching any
     # downstream router's inputs (its gating affects no later computation).
-    scaled = clone_network(net)
+    scaled = clone(net, tmp_path)
     last = scaled.blocks[-1].ffn_router
     last.w_out.weight.data = last.w_out.weight.data * 2.0
     last.w_out.bias.data = last.w_out.bias.data * 2.0

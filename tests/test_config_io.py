@@ -3,6 +3,7 @@ command-line surface (structure, exit codes, and a miniature end-to-end
 pipeline)."""
 
 import csv
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -214,6 +215,26 @@ def test_volume_unknown_dtype_tag(tmp_path):
     with pytest.raises(FormatError) as e:
         read_volume(path)
     assert "offset 4" in str(e.value)
+
+
+def test_volume_every_truncation_and_trailing_bytes_name_an_offset(tmp_path):
+    path = tmp_path / "v.vol"
+    write_volume(path, Tensor(np.zeros((1, 2, 2, 2), np.float32)))
+    blob = path.read_bytes()
+    for data in [blob[:k] for k in range(len(blob))] + [blob + b"\x00" * k for k in (1, 3, 4)]:
+        path.write_bytes(data)
+        with pytest.raises(FormatError) as e:
+            read_volume(path)
+        assert "offset" in str(e.value), (len(data), str(e.value))
+
+
+def test_volume_dims_product_past_int64_is_a_length_mismatch(tmp_path):
+    # 65536**4 == 2**64 wraps to 0 in int64 and would pass as an empty payload
+    path = tmp_path / "v.vol"
+    path.write_bytes(b"VOL1" + struct.pack("<BB4I", 0, 4, *([65536] * 4)))
+    with pytest.raises(FormatError) as e:
+        read_volume(path)
+    assert "offset 22" in str(e.value)
 
 
 # ---------------------------------------------------------------------------
@@ -449,16 +470,23 @@ def test_eval_missing_checkpoint_exits_1(tiny_run, capsys):
 
 
 @pytest.mark.parametrize(
-    "text, key",
-    [("", "centers"), ("known_ids: [1]\nunknown_ids: []\n", "centers")],
-    ids=["empty", "no-centers"],
+    "text, fragment",
+    [
+        ("", "'centers'"),
+        ("known_ids: [1]\nunknown_ids: []\n", "'centers'"),
+        ("centers: 5\nknown_ids: [1]\nunknown_ids: []\n", "'centers' is not a list"),
+        ("centers: [{id: 1}, 5]\nknown_ids: [1]\nunknown_ids: []\n", "entry 1 of 'centers'"),
+        ("centers: [{drf: 2}]\nknown_ids: [1]\nunknown_ids: []\n", "entry 0 of 'centers'"),
+    ],
+    ids=["empty", "no-centers", "centers-not-a-list", "center-not-a-mapping",
+         "center-without-id"],
 )
-def test_load_records_malformed_manifest_names_path_and_key(tmp_path, text, key):
+def test_load_records_malformed_manifest_names_path_and_key(tmp_path, text, fragment):
     manifest = tmp_path / "manifest.yaml"
     manifest.write_text(text)
     with pytest.raises(FormatError) as e:
         load_records(tmp_path)
-    assert str(manifest) in str(e.value) and repr(key) in str(e.value)
+    assert str(manifest) in str(e.value) and fragment in str(e.value)
 
 
 def test_gen_data_from_its_own_echo_writes_the_same_text(tiny_run, tmp_path):

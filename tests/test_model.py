@@ -23,8 +23,7 @@ from drmc.model import (
     FFNExpert,
     ModelConfig,
     _apply_gate,
-    _parameter_count,
-    clone_network,
+    draw,
     drb_forward,
     fuse,
     load_checkpoint,
@@ -93,7 +92,9 @@ def test_unknown_gate_rejected():
 
 
 def test_no_h_gate_ignores_hidden_state():
-    drm = DynamicRoutingModule(channels=4, hidden=4, n_experts=3, rng=np.random.default_rng(1))
+    drm = DynamicRoutingModule(
+        channels=4, hidden=4, n_experts=3, init=draw(np.random.default_rng(1))
+    )
     x = random_volume(np.random.default_rng(2), (4, 4, 4), channels=4)
     h_a = Tensor(np.zeros(4, np.float32))
     h_b = Tensor(np.float32([1.0, -2.0, 0.5, 3.0]))
@@ -122,8 +123,8 @@ def test_relu_gate_produces_exact_zeros_somewhere():
 
 
 class _CountingExpert(FFNExpert):
-    def __init__(self, channels, rng):
-        super().__init__(channels, rng)
+    def __init__(self, channels, init):
+        super().__init__(channels, init)
         self.calls = 0
 
     def __call__(self, x):
@@ -132,9 +133,9 @@ class _CountingExpert(FFNExpert):
 
 
 def _counting_bank(channels=4, n_experts=3, seed=5):
-    bank = ExpertBank("ffn", channels, n_experts, np.random.default_rng(seed))
-    rng = np.random.default_rng(seed)
-    bank.experts = [_CountingExpert(channels, rng) for _ in range(n_experts)]
+    bank = ExpertBank("ffn", channels, n_experts, draw(np.random.default_rng(seed)))
+    init = draw(np.random.default_rng(seed))
+    bank.experts = [_CountingExpert(channels, init) for _ in range(n_experts)]
     return bank
 
 
@@ -185,7 +186,7 @@ def test_fuse_weight_shape_mismatch():
 
 
 def test_attention_single_channel_reduces_to_scalar_chain():
-    expert = AttentionExpert(1, np.random.default_rng(0))
+    expert = AttentionExpert(1, draw(np.random.default_rng(0)))
     expert.local_conv.data = np.zeros_like(expert.local_conv.data)
     expert.v_proj.weight.data = np.float32([[2.0]])
     expert.out_proj.weight.data = np.float32([[3.0]])
@@ -199,7 +200,7 @@ def test_attention_single_channel_reduces_to_scalar_chain():
 
 def test_attention_zero_temperature_limit_is_uniform_mixture():
     c = 4
-    expert = AttentionExpert(c, np.random.default_rng(0))
+    expert = AttentionExpert(c, draw(np.random.default_rng(0)))
     expert.local_conv.data = np.zeros_like(expert.local_conv.data)
     eye = np.eye(c, dtype=np.float32)
     expert.q_proj.weight.data = eye.copy()
@@ -214,7 +215,7 @@ def test_attention_zero_temperature_limit_is_uniform_mixture():
 
 
 def test_attention_empty_spatial_extent_errors():
-    expert = AttentionExpert(2, np.random.default_rng(0))
+    expert = AttentionExpert(2, draw(np.random.default_rng(0)))
     with pytest.raises(DimensionError):
         expert(Tensor(np.zeros((2, 0, 0, 0), np.float32)))
 
@@ -222,7 +223,7 @@ def test_attention_empty_spatial_extent_errors():
 def test_attention_cost_scales_linearly_in_voxels():
     # channel attention is S-linear; a quadratic-in-S implementation would
     # slow down ~64x when S grows 8x
-    expert = AttentionExpert(8, np.random.default_rng(13))
+    expert = AttentionExpert(8, draw(np.random.default_rng(13)))
     rng = np.random.default_rng(14)
     small = random_volume(rng, (8, 8, 8), channels=8)
     big = random_volume(rng, (16, 16, 16), channels=8)
@@ -242,7 +243,7 @@ def test_attention_cost_scales_linearly_in_voxels():
 
 
 def test_ffn_zero_first_layer_gives_zero():
-    expert = FFNExpert(4, np.random.default_rng(0))
+    expert = FFNExpert(4, draw(np.random.default_rng(0)))
     expert.w1.weight.data = np.zeros_like(expert.w1.weight.data)  # biases start at zero
     x = random_volume(np.random.default_rng(15), (3, 3, 3), channels=4)
     out = expert(x)
@@ -251,7 +252,7 @@ def test_ffn_zero_first_layer_gives_zero():
 
 def test_ffn_identity_weights_pass_large_positive_input():
     c = 3
-    expert = FFNExpert(c, np.random.default_rng(0))
+    expert = FFNExpert(c, draw(np.random.default_rng(0)))
     expert.w1.weight.data = np.vstack([np.eye(c), np.zeros((c, c))]).astype(np.float32)
     expert.w2.weight.data = np.hstack([np.eye(c), np.zeros((c, c))]).astype(np.float32)
     x = Tensor(np.full((c, 2, 2, 2), 10.0, np.float32))
@@ -264,7 +265,9 @@ def test_ffn_identity_weights_pass_large_positive_input():
 
 
 def test_block_with_suppressed_routers_is_bitwise_identity():
-    block = DynamicRoutingBlock(channels=4, hidden=4, n_experts=2, rng=np.random.default_rng(16))
+    block = DynamicRoutingBlock(
+        channels=4, hidden=4, n_experts=2, init=draw(np.random.default_rng(16))
+    )
     block.att_router.w_out.bias.data = np.full(2, -5.0, np.float32)
     block.ffn_router.w_out.bias.data = np.full(2, -5.0, np.float32)
     x = random_volume(np.random.default_rng(17), (4, 4, 4), channels=4)
@@ -274,7 +277,9 @@ def test_block_with_suppressed_routers_is_bitwise_identity():
 
 
 def test_single_expert_softmax_weight_is_one():
-    drm = DynamicRoutingModule(channels=4, hidden=4, n_experts=1, rng=np.random.default_rng(18))
+    drm = DynamicRoutingModule(
+        channels=4, hidden=4, n_experts=1, init=draw(np.random.default_rng(18))
+    )
     x = random_volume(np.random.default_rng(19), (4, 4, 4), channels=4)
     w, _ = route(drm, x, Tensor(np.zeros(4, np.float32)), gate="softmax")
     assert np.array_equal(w.data, np.float32([1.0]))
@@ -340,16 +345,6 @@ def test_invalid_model_config():
         ModelConfig(channels=0)
     with pytest.raises(ConfigError):
         ModelConfig(gate="top1")
-
-
-def test_clone_network_is_independent():
-    net = _small_net(seed=26)
-    perturb_parameters(net, seed=27)
-    twin = clone_network(net)
-    for (_, a), (_, b) in zip(net.named_parameters(), twin.named_parameters()):
-        assert np.array_equal(a.data, b.data)
-    twin.head_weight.data = twin.head_weight.data + 1.0
-    assert not np.array_equal(net.head_weight.data, twin.head_weight.data)
 
 
 # ---------------------------------------------------------------------------
@@ -444,16 +439,68 @@ def test_checkpoint_trailing_bytes_rejected(tmp_path):
     "channels, n_experts, n_blocks, router_hidden",
     [(1, 1, 1, 1), (4, 2, 1, 3), (8, 3, 2, 8), (5, 4, 3, 11), (16, 3, 3, 16)],
 )
-def test_parameter_count_matches_built_network(channels, n_experts, n_blocks, router_hidden):
+def test_checkpoint_round_trip_over_configs(
+    tmp_path, channels, n_experts, n_blocks, router_hidden
+):
     net = DRMCNetwork(ModelConfig(channels=channels, n_experts=n_experts,
                                   n_blocks=n_blocks, router_hidden=router_hidden))
-    built = sum(p.data.size for p in net.parameters())
-    assert _parameter_count(channels, n_experts, n_blocks, router_hidden) == built
+    perturb_parameters(net, seed=40)
+    path = tmp_path / "model.drmc"
+    save_checkpoint(net, path)
+    loaded = load_checkpoint(path)
+    assert vars(loaded.config) == vars(net.config)
+    for (na, pa), (nb, pb) in zip(net.named_parameters(), loaded.named_parameters(), strict=True):
+        assert na == nb
+        assert np.array_equal(pa.data, pb.data)
+    assert path.stat().st_size == 25 + 4 * sum(p.data.size for p in net.parameters())
+
+
+def test_checkpoint_every_truncation_and_trailing_bytes_rejected(tmp_path):
+    net = DRMCNetwork(ModelConfig(channels=1, n_experts=1, n_blocks=1), seed=41)
+    path = tmp_path / "model.drmc"
+    save_checkpoint(net, path)
+    blob = path.read_bytes()
+    assert len(blob) == 461
+    bad = [blob[:k] for k in range(len(blob))] + [blob + b"\x00" * k for k in range(1, 5)]
+    for data in bad:
+        path.write_bytes(data)
+        with pytest.raises(FormatError) as e:
+            load_checkpoint(path)
+        assert "offset" in str(e.value), (len(data), str(e.value))
+
+
+def test_load_checkpoint_draws_nothing(tmp_path, monkeypatch):
+    net = _small_net(seed=42)
+    path = tmp_path / "model.drmc"
+    save_checkpoint(net, path)
+
+    def no_rng(*args, **kwargs):
+        raise AssertionError("load_checkpoint drew random numbers")
+
+    monkeypatch.setattr(np.random, "default_rng", no_rng)
+    loaded = load_checkpoint(path)
+    assert np.array_equal(loaded.head_weight.data, net.head_weight.data)
+
+
+@pytest.mark.parametrize(
+    "header, message",
+    [
+        ((1, 0, 1, 1, 1, 0), "channels must be >= 1, got 0"),
+        ((1, 2, 1, 1, 2, 2), "gate=top2 requires n_experts >= 2"),
+    ],
+    ids=["zero-channels", "top2-one-expert"],
+)
+def test_checkpoint_invalid_header_values_name_offsets(tmp_path, header, message):
+    path = tmp_path / "bad.drmc"
+    path.write_bytes(b"DRMC" + struct.pack("<IIIIIB", *header) + b"\x00" * 40)
+    with pytest.raises(FormatError) as e:
+        load_checkpoint(path)
+    assert "offsets 8-24" in str(e.value) and message in str(e.value)
 
 
 def test_checkpoint_header_is_sized_before_allocation(tmp_path):
-    # a header-only file declaring a large network is rejected from its
-    # length alone, before any parameter is drawn
+    # a header-only file declaring a large network fails at its first
+    # parameter read, before anything the size of the network is allocated
     path = tmp_path / "huge.drmc"
     path.write_bytes(b"DRMC" + struct.pack("<IIIIIB", 1, 300, 3, 3, 300, 0))
     tracemalloc.start()

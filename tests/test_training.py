@@ -6,11 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _utils import perturb_parameters, random_volume
+from _utils import clone, perturb_parameters, random_volume
 from drmc.analysis import batch_gradients
 from drmc.data import build_dataset, default_known_centers
 from drmc.errors import DimensionError, NumericError, UsageError
-from drmc.model import DRMCNetwork, ModelConfig, Parameter, clone_network
+from drmc.model import DRMCNetwork, ModelConfig, Parameter
 from drmc.tensor import Tensor
 from drmc.training import (
     AdamState,
@@ -243,12 +243,12 @@ def test_single_center_equals_plain_step():
         assert np.array_equal(pa.data, pb.data)
 
 
-def test_applied_gradient_is_mean_of_buffers():
+def test_applied_gradient_is_mean_of_buffers(tmp_path):
     # replay the returned per-center buffers through a fresh Adam state on a
     # parameter clone; the result must match the applied step bitwise
     cfg = TrainConfig(epochs=1)
     net = _tiny_net(seed=3)
-    twin = clone_network(net)
+    twin = clone(net, tmp_path)
     batches = {1: _batch(4), 2: _batch(5), 3: _batch(6)}
 
     _, buffers = multi_center_step(net, batches, AdamState(), cfg)
@@ -266,10 +266,10 @@ def test_applied_gradient_is_mean_of_buffers():
         assert np.array_equal(pa.data, pb.data)
 
 
-def test_step_gradients_are_batch_gradients():
+def test_step_gradients_are_batch_gradients(tmp_path):
     # training and the diagnostics share one gradient path, bit for bit
     net = _tiny_net(seed=5)
-    twin = clone_network(net)
+    twin = clone(net, tmp_path)
     batches = {1: _batch(9), 2: _batch(10), 3: _batch(11)}
     losses, buffers = multi_center_step(net, batches, AdamState(), TrainConfig(epochs=1))
     for cid, batch in batches.items():
